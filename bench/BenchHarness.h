@@ -24,7 +24,6 @@
 #define HDS_BENCH_BENCHHARNESS_H
 
 #include "core/Runtime.h"
-#include "engine/ExecutorFactory.h"
 #include "engine/ExperimentRunner.h"
 #include "engine/ExperimentSpec.h"
 #include "workloads/Workload.h"
@@ -60,17 +59,14 @@ runWorkload(const std::string &WorkloadName, core::RunMode Mode,
   return Result;
 }
 
-/// Matrix entry point: runs every spec through the local executor
-/// (engine::makeLocal), sharded across \p Jobs worker threads, and
-/// returns results in spec order.  Results are byte-identical for any
-/// job count; benches that fan out whole figures use this instead of
-/// serial runWorkload loops.
+/// Matrix entry point: runs every spec through engine::runMatrix across
+/// \p Jobs worker threads and returns results in spec order.  Results
+/// are byte-identical for any job count; benches that fan out whole
+/// figures use this instead of serial runWorkload loops.
 inline std::vector<RunResult>
 runSpecs(const std::vector<engine::ExperimentSpec> &Specs,
          unsigned Jobs = 1) {
-  engine::FleetConfig Config;
-  Config.Jobs = Jobs;
-  return engine::makeLocal(Config)->run(Specs);
+  return engine::runMatrix(Specs, Jobs);
 }
 
 /// % overhead of \p Cycles relative to \p BaselineCycles (negative =

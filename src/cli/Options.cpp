@@ -7,9 +7,11 @@
 #include "cli/Options.h"
 
 #include "prefetch/Prefetcher.h"
+#include "support/ParseInt.h"
 
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 using namespace hds;
 using namespace hds::cli;
@@ -45,33 +47,49 @@ OptionSet &OptionSet::strPair(const char *Name, std::string &A,
   });
 }
 
-OptionSet &OptionSet::u64(const char *Name, uint64_t &Target) {
-  return add(Name, 1, [&Target](const char *const *Ops) {
-    Target = std::strtoull(Ops[0], nullptr, 10);
+namespace {
+
+/// Registers an integer option parsed strictly into \p Target: decimal
+/// digits only, no larger than IntT holds, and at least \p Min.
+template <typename IntT>
+OptionSet &addInteger(OptionSet &Set, const char *Name, IntT &Target,
+                      uint64_t Min = 0) {
+  std::string Flag = Name;
+  return Set.add(Name, 1, [&Target, Flag, Min](const char *const *Ops) {
+    constexpr uint64_t Max = std::numeric_limits<IntT>::max();
+    uint64_t Value = 0;
+    if (!parseDecimal(Ops[0], Value, Max)) {
+      std::fprintf(stderr, "error: invalid %s '%s' (need an integer in [%llu, "
+                           "%llu])\n",
+                   Flag.c_str(), Ops[0], static_cast<unsigned long long>(Min),
+                   static_cast<unsigned long long>(Max));
+      std::exit(2);
+    }
+    if (Value < Min) {
+      std::fprintf(stderr, "error: %s must be >= %llu\n", Flag.c_str(),
+                   static_cast<unsigned long long>(Min));
+      std::exit(2);
+    }
+    Target = static_cast<IntT>(Value);
   });
+}
+
+} // namespace
+
+OptionSet &OptionSet::u64(const char *Name, uint64_t &Target) {
+  return addInteger(*this, Name, Target);
 }
 
 OptionSet &OptionSet::u32(const char *Name, uint32_t &Target) {
-  return add(Name, 1, [&Target](const char *const *Ops) {
-    Target = static_cast<uint32_t>(std::strtoul(Ops[0], nullptr, 10));
-  });
+  return addInteger(*this, Name, Target);
 }
 
 OptionSet &OptionSet::uns(const char *Name, unsigned &Target) {
-  return add(Name, 1, [&Target](const char *const *Ops) {
-    Target = static_cast<unsigned>(std::strtoul(Ops[0], nullptr, 10));
-  });
+  return addInteger(*this, Name, Target);
 }
 
 OptionSet &OptionSet::unsAtLeastOne(const char *Name, unsigned &Target) {
-  std::string Flag = Name;
-  return add(Name, 1, [&Target, Flag](const char *const *Ops) {
-    Target = static_cast<unsigned>(std::strtoul(Ops[0], nullptr, 10));
-    if (Target == 0) {
-      std::fprintf(stderr, "error: %s must be >= 1\n", Flag.c_str());
-      std::exit(2);
-    }
-  });
+  return addInteger(*this, Name, Target, 1);
 }
 
 OptionSet &OptionSet::looseDouble(const char *Name, double &Target) {
@@ -169,95 +187,4 @@ std::string hds::cli::prefetcherFlagsUsage() {
     Out += ']';
   }
   return Out;
-}
-
-namespace {
-
-/// One row per fleet flag: spelling, operand placeholder (null = no
-/// operand), which sides register it, and how it lands in FleetOptions.
-/// Registration and usage rendering both walk this table — the single
-/// source of truth the serve/worker tools share.
-struct FleetRow {
-  const char *Flag;
-  const char *Operand; // nullptr = boolean flag
-  bool ServeSide;
-  bool WorkerSide;
-  void (*Register)(OptionSet &, FleetOptions &);
-};
-
-constexpr FleetRow FleetTable[] = {
-    {"--serve", "ADDR", true, false,
-     [](OptionSet &O, FleetOptions &T) { O.str("--serve", T.ServeAddr); }},
-    {"--workers", "N", true, false,
-     [](OptionSet &O, FleetOptions &T) { O.uns("--workers", T.Workers); }},
-    {"--worker", "ADDR", false, true,
-     [](OptionSet &O, FleetOptions &T) { O.str("--worker", T.WorkerAddr); }},
-    {"--job-timeout", "MS", true, true,
-     [](OptionSet &O, FleetOptions &T) {
-       O.u32("--job-timeout", T.JobTimeoutMs);
-     }},
-    {"--idle-timeout", "MS", true, false,
-     [](OptionSet &O, FleetOptions &T) {
-       O.u32("--idle-timeout", T.IdleTimeoutMs);
-     }},
-    {"--token", "SECRET", true, true,
-     [](OptionSet &O, FleetOptions &T) { O.str("--token", T.Token); }},
-    {"--allow-remote", nullptr, true, false,
-     [](OptionSet &O, FleetOptions &T) {
-       O.flag("--allow-remote", T.AllowRemote);
-     }},
-    {"--heartbeat-interval", "MS", true, true,
-     [](OptionSet &O, FleetOptions &T) {
-       O.u32("--heartbeat-interval", T.HeartbeatIntervalMs);
-     }},
-    {"--heartbeat-misses", "N", true, false,
-     [](OptionSet &O, FleetOptions &T) {
-       O.uns("--heartbeat-misses", T.HeartbeatMisses);
-     }},
-    {"--checkpoint", "FILE", true, false,
-     [](OptionSet &O, FleetOptions &T) {
-       O.str("--checkpoint", T.CheckpointPath);
-     }},
-    {"--cores", "N", false, true,
-     [](OptionSet &O, FleetOptions &T) { O.u64("--cores", T.Cores); }},
-    {"--memory", "MB", false, true,
-     [](OptionSet &O, FleetOptions &T) { O.u64("--memory", T.MemoryMB); }},
-};
-
-void addFleetSide(OptionSet &Opts, FleetOptions &Target, bool ServeSide) {
-  for (const FleetRow &Row : FleetTable)
-    if (ServeSide ? Row.ServeSide : Row.WorkerSide)
-      Row.Register(Opts, Target);
-}
-
-std::string fleetSideUsage(bool ServeSide) {
-  std::string Out;
-  for (const FleetRow &Row : FleetTable) {
-    if (!(ServeSide ? Row.ServeSide : Row.WorkerSide))
-      continue;
-    Out += " [";
-    Out += Row.Flag;
-    if (Row.Operand) {
-      Out += ' ';
-      Out += Row.Operand;
-    }
-    Out += ']';
-  }
-  return Out;
-}
-
-} // namespace
-
-void hds::cli::addFleetServeOptions(OptionSet &Opts, FleetOptions &Target) {
-  addFleetSide(Opts, Target, true);
-}
-
-void hds::cli::addFleetWorkerOptions(OptionSet &Opts, FleetOptions &Target) {
-  addFleetSide(Opts, Target, false);
-}
-
-std::string hds::cli::fleetServeOptionsUsage() { return fleetSideUsage(true); }
-
-std::string hds::cli::fleetWorkerOptionsUsage() {
-  return fleetSideUsage(false);
 }

@@ -12,14 +12,13 @@
 /// (spelling, operand shape, validation, error text) in exactly one
 /// place and every tool parses it identically.
 ///
-/// The registration vocabulary deliberately mirrors the historical
-/// per-tool parsers, quirks included: raw integer options convert with
-/// strtoul/strtoull and no validation (legacy behavior the goldens
-/// depend on), while the strict double options reject trailing garbage
-/// and out-of-range values with the exact legacy error messages and
-/// exit code 2.  An unknown option or missing operand calls the tool's
-/// usage callback, which prints and exits with the tool's historical
-/// status.
+/// Numeric options are strict: an integer operand must be plain decimal
+/// digits that fit the target (no sign, no trailing bytes, no overflow),
+/// and the strict double options reject trailing garbage and
+/// out-of-range values.  A bad operand prints "error: invalid --name
+/// '...' (...)" and exits 2.  An unknown option or missing operand calls
+/// the tool's usage callback, which prints and exits with the tool's
+/// historical status.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -57,15 +56,15 @@ public:
   /// --name A B: two operands (hds_matrix --diff).
   OptionSet &strPair(const char *Name, std::string &A, std::string &B);
 
-  /// \name Raw integer options: strtoull/strtoul with no validation,
-  /// matching the historical per-tool parsers bit for bit.
+  /// \name Integer options: decimal digits only, range-checked against
+  /// the target type; anything else exits 2 with an "invalid" message.
   /// @{
   OptionSet &u64(const char *Name, uint64_t &Target);
   OptionSet &u32(const char *Name, uint32_t &Target);
   OptionSet &uns(const char *Name, unsigned &Target);
   /// @}
 
-  /// strtoul, then "error: --name must be >= 1" and exit 2 on zero
+  /// As uns(), then "error: --name must be >= 1" and exit 2 on zero
   /// (hds_bench --repeat).
   OptionSet &unsAtLeastOne(const char *Name, unsigned &Target);
 
@@ -117,52 +116,6 @@ void addTunedFlag(OptionSet &Opts, bool &Tuned);
 /// " [--stride] [--markov] [--stream] [--pair] [--duel]" — the usage
 /// fragment for addPrefetcherFlags, generated from the roster.
 std::string prefetcherFlagsUsage();
-
-/// The fleet-service vocabulary shared by hds_fleet and hds_matrix:
-/// one value type holding every distributed knob, registered against an
-/// OptionSet by the side (serve/worker) that understands it.  Flag
-/// spellings, operand names, and side membership live in one internal
-/// table, so a tool's usage text (fleetServeOptionsUsage /
-/// fleetWorkerOptionsUsage) can never drift from what its parser
-/// accepts.
-struct FleetOptions {
-  /// --serve ADDR: listen address ("host:port" or "unix:/path").
-  std::string ServeAddr;
-  /// --workers N: local worker processes forked by the serving tool.
-  unsigned Workers = 0;
-  /// --worker ADDR: run as a worker against this coordinator.
-  std::string WorkerAddr;
-  /// --job-timeout MS (both sides).
-  uint32_t JobTimeoutMs = 120000;
-  /// --idle-timeout MS (serve side).
-  uint32_t IdleTimeoutMs = 30000;
-  /// --token SECRET (both sides): shared secret for the hello.
-  std::string Token;
-  /// --allow-remote (serve side): permit non-loopback listeners.
-  bool AllowRemote = false;
-  /// --heartbeat-interval MS (both sides; 0 disables).
-  uint32_t HeartbeatIntervalMs = 1000;
-  /// --heartbeat-misses N (serve side).
-  unsigned HeartbeatMisses = 5;
-  /// --checkpoint FILE (serve side): journal completed cells here.
-  std::string CheckpointPath;
-  /// --cores N / --memory MB (worker side): advisory capabilities.
-  uint64_t Cores = 0;
-  uint64_t MemoryMB = 0;
-};
-
-/// Registers the serve-side fleet options (--serve --workers
-/// --job-timeout --idle-timeout --token --allow-remote
-/// --heartbeat-interval --heartbeat-misses --checkpoint).
-void addFleetServeOptions(OptionSet &Opts, FleetOptions &Target);
-/// Registers the worker-side fleet options (--worker --job-timeout
-/// --token --heartbeat-interval --cores --memory).
-void addFleetWorkerOptions(OptionSet &Opts, FleetOptions &Target);
-
-/// Usage fragments generated from the same table the parsers register
-/// from, e.g. " [--serve ADDR] [--workers N] ...".
-std::string fleetServeOptionsUsage();
-std::string fleetWorkerOptionsUsage();
 
 } // namespace cli
 } // namespace hds

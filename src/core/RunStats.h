@@ -63,13 +63,11 @@ struct RunStats {
 
 /// \name Stable metric enumerations
 /// Typed field enumeration with a fixed, append-only order shared by
-/// every serializer (the engine's binary wire format relies on encode
-/// and decode walking the very same sequence, and the metric ids are the
-/// JSON keys).  \p Visit is invoked once per scalar counter with its
+/// the results JSON writer and reader (the metric ids are the JSON
+/// keys).  \p Visit is invoked once per scalar counter with its
 /// obs::MetricDef and a reference to the field; pass a const struct to
 /// read and a mutable one to fill during decode.  New fields must be
-/// appended at the end, never reordered or removed, or the wire protocol
-/// version must be bumped (see obs/Metrics.h).
+/// appended at the end, never reordered or removed (see obs/Metrics.h).
 /// @{
 template <typename CycleStatsT, typename Fn>
 void visitCycleStatsMetrics(CycleStatsT &&Stats, Fn &&Visit) {

@@ -7,10 +7,13 @@
 #include "engine/ExperimentRunner.h"
 
 #include "core/Runtime.h"
+#include "engine/JobScheduler.h"
+#include "engine/ResultSink.h"
 #include "support/Rng.h"
 #include "workloads/Workload.h"
 
 #include <memory>
+#include <utility>
 
 using namespace hds;
 using namespace hds::engine;
@@ -63,4 +66,38 @@ RunResult hds::engine::runExperiment(const ExperimentSpec &Spec,
   Result.Streams = Rt.streamPrefetchStats();
   Result.Prefetchers = Rt.prefetcherStats();
   return Result;
+}
+
+std::vector<RunResult>
+hds::engine::runMatrix(std::span<const ExperimentSpec> Specs, unsigned Jobs,
+                       const std::atomic<bool> *Cancel, OnResult Callback) {
+  ResultSink Sink(Specs.size());
+  if (Callback)
+    Sink.setCallback(std::move(Callback));
+  {
+    JobScheduler Scheduler(Jobs);
+    for (std::size_t Index = 0; Index < Specs.size(); ++Index) {
+      const ExperimentSpec &Spec = Specs[Index];
+      Scheduler.submit([Index, &Spec, &Sink, Cancel, &Scheduler] {
+        if (Cancel && Cancel->load(std::memory_order_relaxed)) {
+          // Drop everything still queued too, so cancellation takes
+          // effect promptly instead of once per remaining job.
+          Scheduler.cancel();
+          RunResult Cancelled;
+          Cancelled.Spec = Spec;
+          Sink.deliver(Index, std::move(Cancelled));
+          return;
+        }
+        Sink.deliver(Index, runExperiment(Spec));
+      });
+    }
+    Scheduler.wait();
+  }
+  std::vector<RunResult> Results = Sink.take();
+  // Jobs dropped from the queue never delivered; label their slots with
+  // the spec they would have run so every result is self-describing.
+  for (std::size_t Index = 0; Index < Results.size(); ++Index)
+    if (Results[Index].State == RunResult::Status::Cancelled)
+      Results[Index].Spec = Specs[Index];
+  return Results;
 }

@@ -5,11 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Executes one experiment spec to completion (runExperiment).  Each run
-/// builds a private Runtime, so concurrent runs share no mutable state.
-/// Matrix execution — many specs sharded across threads or worker
-/// processes — lives behind the Executor interface (engine/Executor.h);
-/// this header is the single-job primitive every executor calls.
+/// Executes one experiment spec to completion (runExperiment), or a whole
+/// matrix of them across a thread pool (runMatrix).  Each run builds a
+/// private Runtime, so concurrent runs share no mutable state, and the
+/// matrix results come back in spec order whatever the thread count.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,7 +24,11 @@
 #include "obs/Metrics.h"
 #include "obs/PrefetchStats.h"
 
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -104,6 +107,20 @@ using ConfigTweak = void (*)(core::OptimizerConfig &);
 /// Runs one spec to completion in the calling thread.
 RunResult runExperiment(const ExperimentSpec &Spec,
                         ConfigTweak Tweak = nullptr);
+
+/// Progress callback of runMatrix: spec index and its finished result.
+using OnResult = std::function<void(std::size_t, const RunResult &)>;
+
+/// Runs every spec across \p Jobs worker threads (clamped to at least 1)
+/// and returns the results in spec order, byte-identical in JSON for any
+/// job count.  When \p Cancel is set, jobs that have not started yet are
+/// dropped and come back Cancelled, still carrying their spec.
+/// \p Callback, when set, fires once per finished job in *completion*
+/// order, serialized.
+std::vector<RunResult> runMatrix(std::span<const ExperimentSpec> Specs,
+                                 unsigned Jobs,
+                                 const std::atomic<bool> *Cancel = nullptr,
+                                 OnResult Callback = nullptr);
 
 } // namespace engine
 } // namespace hds

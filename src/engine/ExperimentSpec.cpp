@@ -7,9 +7,8 @@
 #include "engine/ExperimentSpec.h"
 
 #include "prefetch/Prefetcher.h"
+#include "support/ParseInt.h"
 #include "workloads/Workload.h"
-
-#include <cstdlib>
 
 using namespace hds;
 using namespace hds::engine;
@@ -132,14 +131,26 @@ bool hds::engine::applyFilter(std::vector<ExperimentSpec> &Specs,
     return true;
   }
   if (Key == "seed") {
-    char *End = nullptr;
-    const uint64_t Seed = std::strtoull(Value.c_str(), &End, 10);
-    if (End == Value.c_str() || *End != '\0') {
+    uint64_t Seed = 0;
+    if (!parseDecimal(Value, Seed)) {
       if (Error)
         *Error = "seed '" + Value + "' is not a decimal integer";
       return false;
     }
     Keep([&](const ExperimentSpec &S) { return S.Seed == Seed; });
+    return true;
+  }
+  if (Key == "shard") {
+    uint64_t Index = 0, Count = 0;
+    if (!parseShard(Value, Index, Count)) {
+      if (Error)
+        *Error = "shard '" + Value + "' is not of the form i/n with i < n";
+      return false;
+    }
+    std::vector<ExperimentSpec> Kept;
+    for (std::size_t Pos = Index; Pos < Specs.size(); Pos += Count)
+      Kept.push_back(Specs[Pos]);
+    Specs = std::move(Kept);
     return true;
   }
   if (Key == "prefetcher") {
@@ -178,13 +189,56 @@ bool hds::engine::applyFilter(std::vector<ExperimentSpec> &Specs,
   }
   if (Error)
     *Error = "unknown filter key '" + Key +
-             "' (expected workload, mode, seed, prefetcher, or tuning)";
+             "' (expected workload, mode, seed, prefetcher, tuning, or shard)";
   return false;
+}
+
+bool hds::engine::applyFilters(std::vector<ExperimentSpec> &Specs,
+                               const std::vector<std::string> &Filters,
+                               std::string &ShardTag, std::string *Error) {
+  static constexpr std::string_view ShardKey = "shard=";
+  std::vector<ExperimentSpec> Narrowed = Specs;
+  const std::string *Shard = nullptr;
+  for (const std::string &Filter : Filters) {
+    if (Filter.starts_with(ShardKey)) {
+      if (Shard) {
+        if (Error)
+          *Error = "more than one shard filter";
+        return false;
+      }
+      Shard = &Filter;
+      continue;
+    }
+    if (!applyFilter(Narrowed, Filter, Error))
+      return false;
+  }
+  // Sharding partitions whatever the other filters left, so every shard
+  // process of a sweep sees the same list whatever the flag order.
+  ShardTag.clear();
+  if (Shard) {
+    if (!applyFilter(Narrowed, *Shard, Error))
+      return false;
+    uint64_t Index = 0, Count = 0;
+    parseShard(Shard->substr(ShardKey.size()), Index, Count);
+    ShardTag = std::to_string(Index) + "/" + std::to_string(Count);
+  }
+  Specs = std::move(Narrowed);
+  return true;
+}
+
+bool hds::engine::parseShard(const std::string &Tag, uint64_t &Index,
+                             uint64_t &Count) {
+  const std::size_t Slash = Tag.find('/');
+  return Slash != std::string::npos &&
+         parseDecimal(std::string_view(Tag).substr(0, Slash), Index) &&
+         parseDecimal(std::string_view(Tag).substr(Slash + 1), Count) &&
+         Index < Count;
 }
 
 std::string hds::engine::filterHelp() {
   return "filters: workload=<name>  mode=<" + core::runModeTokenList() +
          ">  seed=<n>\n         prefetcher=<" +
          prefetch::PrefetcherSelection::tokenList() +
-         ">  tuning=<adaptive|fixed>\n";
+         ">  tuning=<adaptive|fixed>\n         shard=<i>/<n> (every n-th "
+         "cell from the i-th, applied last)\n";
 }

@@ -85,11 +85,24 @@ std::vector<ExperimentSpec> defaultMatrix(double Scale = 1.0);
 /// Narrows \p Specs in place with one "key=value" filter.  Supported
 /// keys: workload (name), mode (runModeToken vocabulary), seed
 /// (decimal), prefetcher (none or a kind token — cells whose only
-/// enabled prefetcher is the named one), tuning (adaptive|fixed).
+/// enabled prefetcher is the named one), tuning (adaptive|fixed), and
+/// shard (i/n — keeps the specs at positions k with k % n == i).
 /// Returns false — leaving \p Specs untouched and setting \p Error when
 /// non-null — for an unknown key or unparseable value.
 bool applyFilter(std::vector<ExperimentSpec> &Specs,
                  const std::string &Filter, std::string *Error = nullptr);
+
+/// Applies every filter in \p Filters, the shard filter last whatever
+/// its position, so positions count in the list the other filters left.
+/// \p ShardTag receives the canonical "i/n" of the shard filter, or ""
+/// when there is none.  On error (a bad filter or two shard filters)
+/// returns false and leaves \p Specs untouched.
+bool applyFilters(std::vector<ExperimentSpec> &Specs,
+                  const std::vector<std::string> &Filters,
+                  std::string &ShardTag, std::string *Error = nullptr);
+
+/// Parses a shard tag "i/n" (decimal, i < n).  False on anything else.
+bool parseShard(const std::string &Tag, uint64_t &Index, uint64_t &Count);
 
 /// The filter vocabulary lines of a tool usage text, generated from the
 /// shared token definitions (core::allRunModes, Prefetcher::kindToken,

@@ -6,13 +6,13 @@
 ///
 /// \file
 /// The single source of truth for what the engine exports: every scalar
-/// metric that appears in the wire protocol and the results JSON,
-/// grouped into named blocks, with its stable id, unit, and
-/// documentation string (obs::MetricDef).  The registry is built from
-/// the same visit*Metrics enumerations the serializers walk, so it can
-/// never drift from what encodeResult/emitResult actually produce — a
-/// test asserts ids are unique within each block and that every block's
-/// order matches the enumeration order.
+/// metric that appears in the results JSON, grouped into named blocks,
+/// with its stable id, unit, and documentation string (obs::MetricDef).
+/// The registry is built from the same visit*Metrics enumerations the
+/// JSON writer (emitResult) and reader (decodeResults) walk, so it can
+/// never drift from what they produce and accept — a test asserts ids
+/// are unique within each block and that every block's order matches
+/// the enumeration order.
 ///
 /// Also centralizes the spec-echo fields that identify a result cell
 /// (specIdentityFields), shared by the --diff cell pairing and anything
@@ -37,7 +37,7 @@ namespace hds {
 namespace engine {
 
 /// One named group of metrics: a JSON object (or array-element object)
-/// in the results document, and the matching counter block on the wire.
+/// in the results document.
 struct MetricBlock {
   /// Block name.  "result" covers the flat per-run counters; "phase" is
   /// one element of the "phases" array; "memory" the hierarchy object;

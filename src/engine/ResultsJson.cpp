@@ -274,9 +274,12 @@ std::string hds::engine::jsonEscape(const std::string &S) {
 }
 
 std::string hds::engine::resultsToJson(const std::vector<RunResult> &Results,
-                                       const TimingInfo &Timing) {
+                                       const TimingInfo &Timing,
+                                       const std::string &Shard) {
   JsonBuilder Json;
   Json.fieldString("schema", "hds-matrix-results-v1");
+  if (!Shard.empty())
+    Json.fieldString("shard", Shard);
   Json.field("spec_count", uint64_t{Results.size()});
 
   Json.openArray("results");

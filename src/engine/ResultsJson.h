@@ -50,9 +50,12 @@ struct TimingInfo {
 /// Serializes \p Results (spec order) to a JSON document.  Overhead
 /// percentages are computed against the matching Original-mode baseline
 /// in the same result set (same workload/scale/seed/iterations, no
-/// hardware prefetchers) when one is present.
+/// hardware prefetchers) when one is present.  A non-empty \p Shard
+/// ("i/n", the shard= filter that selected the results) is written as a
+/// top-level "shard" field; unsharded documents carry none.
 std::string resultsToJson(const std::vector<RunResult> &Results,
-                          const TimingInfo &Timing = TimingInfo());
+                          const TimingInfo &Timing = TimingInfo(),
+                          const std::string &Shard = std::string());
 
 /// Escapes \p S for embedding in a JSON string literal.
 std::string jsonEscape(const std::string &S);

@@ -84,8 +84,8 @@ inline const char *cyclePhaseName(CyclePhase Phase) {
 }
 
 /// Plain-data snapshot of a CycleAccount, one named field per phase.
-/// This is what serializers carry (engine/Wire.h tag ResultBreakdown,
-/// the results JSON "cycle_breakdown" object).
+/// This is what the results JSON carries as its "cycle_breakdown"
+/// object.
 struct CycleBreakdown {
   uint64_t PureCompute = 0;
   uint64_t DemandStall = 0;

@@ -12,12 +12,15 @@
 /// memsim/MemoryHierarchy.h, obs/CycleAccount.h, obs/PrefetchStats.h)
 /// pair each definition with a reference to the live field, in a fixed
 /// append-only order.  That single enumeration drives JSON emission, the
-/// binary wire encoding, and the metric registry (engine/MetricRegistry.h),
-/// so the three can never disagree on field names or order.
+/// JSON reader behind the shard merge (engine/ResultsDiff.h), and the
+/// metric registry (engine/MetricRegistry.h), so the three can never
+/// disagree on field names or order.
 ///
 /// Append-only contract: new metrics are appended at the end of their
-/// block's visit function, never reordered or removed; removing or
-/// reordering requires a wire protocol version bump (engine/Wire.h).
+/// block's visit function, never reordered or removed, so result
+/// documents written before the change still diff against new ones.
+/// tests/golden/schema.lock records every block's order, and the W1 lint
+/// rule rejects a reorder or removal (docs/static-analysis.md).
 ///
 //===----------------------------------------------------------------------===//
 

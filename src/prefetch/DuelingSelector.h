@@ -14,8 +14,9 @@
 /// Sampling is round-robin over epochs measured in demand accesses (a
 /// simulated quantity, so decisions are a pure function of the access
 /// sequence and the config — never of wall clock or host scheduling;
-/// docs/determinism.md).  Every candidate trains on every access the
-/// whole time so its tables are warm when its turn comes; only the
+/// docs/engine.md, "The determinism contract").  Every candidate trains
+/// on every access the whole time so its tables are warm when its turn
+/// comes; only the
 /// sampled candidate's issue() gate is open.  Classification feedback
 /// (useful / late, from the memsim listener hooks) is attributed to the
 /// issuing candidate by stream tag and to a region bucket by demand

@@ -25,7 +25,8 @@
 ///
 /// Determinism: implementations must derive every decision from the
 /// observed access sequence and their config — no ambient randomness,
-/// clocks, or address-ordered container iteration (docs/determinism.md).
+/// clocks, or address-ordered container iteration (docs/engine.md, "The
+/// determinism contract").
 ///
 //===----------------------------------------------------------------------===//
 

@@ -31,7 +31,7 @@
 /// are a pure function of the observed epoch-delta counters and the
 /// config — never of wall clock, thread schedule, or shard assignment.
 /// That is what keeps adaptive cells byte-identical across --jobs counts
-/// and the distributed runner.
+/// and shard splits.
 ///
 /// Both issuing paths consume one instance: core/PrefetchEngine threads
 /// degree/distance into how much of an installed stream's tail it issues

@@ -36,6 +36,17 @@ void parseArgs(const OptionSet &Set, std::vector<std::string> Args) {
   Set.parse(static_cast<int>(Argv.size()), Argv.data());
 }
 
+/// Escapes the POSIX regex metacharacters in \p Text for EXPECT_EXIT.
+std::string regexQuote(const std::string &Text) {
+  std::string Out;
+  for (const char C : Text) {
+    if (std::string(".[]{}()\\*+?^$|").find(C) != std::string::npos)
+      Out += '\\';
+    Out += C;
+  }
+  return Out;
+}
+
 TEST(OptionSet, EveryRegistrationKindParses) {
   bool Flag = false;
   std::string Str;
@@ -119,6 +130,39 @@ TEST(OptionSetDeathTest, StrictNumericOptionsExitWithLegacyMessages) {
               "error: invalid --threshold '-1' \\(need a number >= 0\\)");
   EXPECT_EXIT(parseArgs(Set, {"--repeat", "0"}),
               testing::ExitedWithCode(2), "error: --repeat must be >= 1");
+}
+
+TEST(OptionSetDeathTest, IntegerOptionsRejectSignsGarbageAndOverflow) {
+  uint64_t Seeds = 0;
+  uint32_t HeadLength = 0;
+  unsigned Jobs = 0, Repeat = 0;
+  OptionSet Set([] {});
+  Set.u64("--seeds", Seeds)
+      .u32("--headlen", HeadLength)
+      .uns("--jobs", Jobs)
+      .unsAtLeastOne("--repeat", Repeat);
+
+  // strtoull used to wrap "-1" to 2^64-1 (a std::bad_alloc downstream)
+  // and read "abc" / "8x" as 0 / 8.
+  const std::vector<std::vector<std::string>> Bad = {
+      {"--seeds", "-1"},       {"--seeds", "abc"},
+      {"--seeds", ""},         {"--seeds", "+3"},
+      {"--seeds", " 3"},       {"--seeds", "18446744073709551616"},
+      {"--headlen", "4294967296"}, {"--jobs", "-2"},
+      {"--jobs", "8x"},        {"--repeat", "-1"},
+      {"--repeat", "2.5"}};
+  for (const std::vector<std::string> &Args : Bad)
+    EXPECT_EXIT(parseArgs(Set, Args), testing::ExitedWithCode(2),
+                "error: invalid " + Args[0] + " '" + regexQuote(Args[1]) +
+                    "' \\(need an integer in \\[[01], [0-9]+\\]\\)")
+        << Args[0] << " " << Args[1];
+
+  parseArgs(Set, {"--seeds", "007", "--headlen", "4294967295", "--jobs", "0",
+                  "--repeat", "3"});
+  EXPECT_EQ(Seeds, 7u);
+  EXPECT_EQ(HeadLength, 4294967295u);
+  EXPECT_EQ(Jobs, 0u);
+  EXPECT_EQ(Repeat, 3u);
 }
 
 //===----------------------------------------------------------------------===//

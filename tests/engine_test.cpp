@@ -3,21 +3,23 @@
 // Part of the hds project (PLDI 2002 hot data stream prefetching repro).
 //
 // Tests for src/engine: the JobScheduler worker pool, the spec-order
-// ResultSink merge, and the determinism contract of the Executor API —
-// the aggregate JSON must be byte-identical for any job count, shard
-// failures must not corrupt or reorder the merged output, and
-// cancellation must leave no leaked threads (this binary also runs
-// under TSan in CI).
+// ResultSink merge, and the determinism contract of runMatrix — the
+// aggregate JSON must be byte-identical for any job count and for any
+// shard split merged back, failed cells must not corrupt or reorder the
+// merged output, and cancellation must leave no leaked threads (this
+// binary also runs under TSan in CI) — plus the results JSON reader
+// behind --diff and --merge, which must reject every truncated or
+// malformed document (this binary also runs under ASan).
 //
 //===----------------------------------------------------------------------===//
 
-#include "engine/Executor.h"
-#include "engine/ExecutorFactory.h"
 #include "engine/ExperimentRunner.h"
 #include "engine/ExperimentSpec.h"
 #include "engine/JobScheduler.h"
 #include "engine/ResultSink.h"
+#include "engine/ResultsDiff.h"
 #include "engine/ResultsJson.h"
+#include "support/Rng.h"
 
 #include <gtest/gtest.h>
 
@@ -197,15 +199,55 @@ TEST(ExperimentSpec, BadFilterReportsErrorAndLeavesSpecsAlone) {
   EXPECT_EQ(Specs.size(), Before);
   EXPECT_FALSE(applyFilter(Specs, "no-equals-sign", &Error));
   EXPECT_EQ(Specs.size(), Before);
+  for (const char *Bad : {"seed=-1", "seed=+1", "seed=1x",
+                          "seed=99999999999999999999", "shard=3/3",
+                          "shard=0/0", "shard=1", "shard=-1/3", "shard=1/3x"}) {
+    Error.clear();
+    EXPECT_FALSE(applyFilter(Specs, Bad, &Error)) << Bad;
+    EXPECT_FALSE(Error.empty()) << Bad;
+    EXPECT_EQ(Specs.size(), Before) << Bad;
+  }
+}
+
+TEST(ExperimentSpec, ShardsPartitionTheFilteredListWhateverTheFlagOrder) {
+  std::vector<ExperimentSpec> Dynpref = defaultMatrix();
+  ASSERT_TRUE(applyFilter(Dynpref, "mode=dynpref"));
+  std::vector<ExperimentSpec> Union;
+  for (uint64_t I = 0; I < 3; ++I) {
+    // The shard filter comes first on the command line, yet positions
+    // count in the list the mode filter left.
+    std::vector<ExperimentSpec> Shard = defaultMatrix();
+    std::string Tag;
+    ASSERT_TRUE(applyFilters(
+        Shard, {"shard=" + std::to_string(I) + "/3", "mode=dynpref"}, Tag));
+    EXPECT_EQ(Tag, std::to_string(I) + "/3");
+    for (std::size_t K = 0; K < Shard.size(); ++K)
+      EXPECT_EQ(Shard[K], Dynpref[I + 3 * K]);
+    Union.insert(Union.end(), Shard.begin(), Shard.end());
+  }
+  EXPECT_EQ(Union.size(), Dynpref.size());
+
+  std::vector<ExperimentSpec> Plain = defaultMatrix();
+  std::string Tag = "stale";
+  ASSERT_TRUE(applyFilters(Plain, {"mode=dynpref"}, Tag));
+  EXPECT_EQ(Tag, "");
+  EXPECT_EQ(Plain, Dynpref);
+
+  std::vector<ExperimentSpec> Twice = defaultMatrix();
+  std::string Error;
+  EXPECT_FALSE(applyFilters(Twice, {"shard=0/2", "shard=1/2"}, Tag, &Error));
+  EXPECT_FALSE(Error.empty());
+  EXPECT_EQ(Twice.size(), defaultMatrix().size());
 }
 
 //===----------------------------------------------------------------------===//
-// Local executor determinism and failure isolation
+// runMatrix determinism and failure isolation
 //===----------------------------------------------------------------------===//
 
 std::vector<ExperimentSpec> smallMatrix() {
   // vpr under every mode, at a fixed tiny iteration count so the whole
-  // matrix stays fast even when run three times.
+  // matrix stays fast even when run three times; one cell with a layout
+  // seed so the seed field round-trips through the JSON reader too.
   std::vector<ExperimentSpec> Specs;
   const core::RunMode Modes[] = {
       core::RunMode::Original,         core::RunMode::ChecksOnly,
@@ -219,14 +261,13 @@ std::vector<ExperimentSpec> smallMatrix() {
     Spec.Iterations = 300;
     Specs.push_back(Spec);
   }
+  Specs.back().Seed = 5;
   return Specs;
 }
 
 std::string jsonForJobs(const std::vector<ExperimentSpec> &Specs,
                         unsigned Jobs) {
-  FleetConfig Config;
-  Config.Jobs = Jobs;
-  return resultsToJson(makeLocal(Config)->run(Specs));
+  return resultsToJson(runMatrix(Specs, Jobs));
 }
 
 TEST(RunMatrix, AggregateJsonIsByteIdenticalAcrossJobCounts) {
@@ -249,9 +290,7 @@ TEST(RunMatrix, FailedShardKeepsOrderAndDoesNotPoisonNeighbours) {
   Specs.push_back(Bad);
   Specs.push_back(Good);
 
-  FleetConfig Config;
-  Config.Jobs = 2;
-  const std::vector<RunResult> Results = makeLocal(Config)->run(Specs);
+  const std::vector<RunResult> Results = runMatrix(Specs, 2);
   ASSERT_EQ(Results.size(), 3u);
   EXPECT_TRUE(Results[0].ok());
   EXPECT_EQ(Results[1].State, RunResult::Status::Error);
@@ -266,11 +305,9 @@ TEST(RunMatrix, CancellationKeepsSpecOrderAndJoinsCleanly) {
   const std::vector<ExperimentSpec> Specs = smallMatrix();
   std::atomic<bool> Cancel{false};
 
-  FleetConfig Config;
-  Config.Jobs = 1; // serial: deliveries happen in spec order
-  Config.CancelRequested = &Cancel;
-  const std::vector<RunResult> Results = makeLocal(Config)->run(
-      Specs, [&Cancel](std::size_t, const RunResult &) {
+  // One job: deliveries happen in spec order.
+  const std::vector<RunResult> Results =
+      runMatrix(Specs, 1, &Cancel, [&Cancel](std::size_t, const RunResult &) {
         Cancel.store(true); // request cancellation after the first delivery
       });
 
@@ -302,7 +339,7 @@ TEST(ResultsJson, OverheadIsRelativeToTheOriginalBaseline) {
   Specs.push_back(Base);
   Specs.push_back(Opt);
 
-  const std::vector<RunResult> Results = makeLocal()->run(Specs);
+  const std::vector<RunResult> Results = runMatrix(Specs, 1);
   const std::string Json = resultsToJson(Results);
   // The baseline's overhead over itself is exactly zero.
   EXPECT_NE(Json.find("\"overhead_pct\": 0.0000"), std::string::npos);
@@ -318,7 +355,7 @@ TEST(ResultsJson, TimingObjectOnlyAppearsOnRequest) {
   Spec.Workload = "vpr";
   Spec.Iterations = 100;
   Specs.push_back(Spec);
-  const std::vector<RunResult> Results = makeLocal()->run(Specs);
+  const std::vector<RunResult> Results = runMatrix(Specs, 1);
 
   TimingInfo Timing;
   Timing.IncludeWall = true;
@@ -354,6 +391,226 @@ TEST(ResultsJson, LayoutSeedChangesTheRunButNotItsShape) {
   EXPECT_EQ(Result.Spec.Seed, 3u);
   const std::string Json = resultsToJson({Result});
   EXPECT_NE(Json.find("\"seed\": 3"), std::string::npos);
+}
+
+//===----------------------------------------------------------------------===//
+// Results diffing (the --diff surface)
+//===----------------------------------------------------------------------===//
+
+TEST(ResultsDiff, IdenticalDocumentsCompareClean) {
+  const std::string Json = jsonForJobs(smallMatrix(), 2);
+  DiffReport Report;
+  std::string Error;
+  ASSERT_TRUE(diffResults(Json, Json, DiffOptions(), Report, Error))
+      << Error;
+  EXPECT_FALSE(Report.regressed());
+  EXPECT_EQ(Report.CellsCompared, smallMatrix().size());
+}
+
+TEST(ResultsDiff, CycleGrowthIsARegressionAndThresholdSilencesIt) {
+  std::vector<ExperimentSpec> Specs;
+  ExperimentSpec Spec;
+  Spec.Workload = "vpr";
+  Spec.Iterations = 200;
+  Specs.push_back(Spec);
+  std::vector<RunResult> Results = runMatrix(Specs, 1);
+  const std::string Before = resultsToJson(Results);
+  Results[0].Cycles += Results[0].Cycles / 100 + 1; // ~1% slower
+  const std::string After = resultsToJson(Results);
+
+  DiffReport Exact;
+  std::string Error;
+  ASSERT_TRUE(diffResults(Before, After, DiffOptions(), Exact, Error))
+      << Error;
+  EXPECT_TRUE(Exact.regressed());
+  ASSERT_EQ(Exact.Regressions.size(), 1u);
+  EXPECT_NE(Exact.Regressions[0].Detail.find("cycles"), std::string::npos);
+
+  DiffOptions Loose;
+  Loose.ThresholdPct = 50.0;
+  DiffReport Tolerant;
+  ASSERT_TRUE(diffResults(Before, After, Loose, Tolerant, Error)) << Error;
+  EXPECT_TRUE(Tolerant.Regressions.empty());
+}
+
+TEST(ResultsDiff, StatusFlipAndMissingCellsAreReported) {
+  std::vector<ExperimentSpec> Specs = smallMatrix();
+  std::vector<RunResult> Results = runMatrix(Specs, 2);
+  const std::string Before = resultsToJson(Results);
+
+  Results[0].State = RunResult::Status::Error;
+  Results[0].Error = "synthetic failure";
+  Results.pop_back();
+  const std::string After = resultsToJson(Results);
+
+  DiffReport Report;
+  std::string Error;
+  ASSERT_TRUE(diffResults(Before, After, DiffOptions(), Report, Error))
+      << Error;
+  EXPECT_TRUE(Report.regressed());
+  EXPECT_EQ(Report.StatusChanges.size(), 1u);
+  EXPECT_EQ(Report.OnlyInA.size(), 1u);
+  EXPECT_TRUE(Report.OnlyInB.empty());
+}
+
+TEST(ResultsDiff, RejectsForeignDocuments) {
+  DiffReport Report;
+  std::string Error;
+  EXPECT_FALSE(diffResults("{]", "{}", DiffOptions(), Report, Error));
+  EXPECT_FALSE(Error.empty());
+  EXPECT_FALSE(diffResults("{\"schema\": \"something-else\"}", "{}",
+                           DiffOptions(), Report, Error));
+}
+
+//===----------------------------------------------------------------------===//
+// Shard merge (the --merge surface)
+//===----------------------------------------------------------------------===//
+
+/// Runs the shard=Index/Count slice of \p Specs as its own matrix and
+/// returns the tagged document a shard process would write.
+std::string shardJson(const std::vector<ExperimentSpec> &Specs,
+                      uint64_t Index, uint64_t Count) {
+  std::vector<ExperimentSpec> Shard = Specs;
+  std::string Tag;
+  EXPECT_TRUE(applyFilters(
+      Shard, {"shard=" + std::to_string(Index) + "/" + std::to_string(Count)},
+      Tag));
+  return resultsToJson(runMatrix(Shard, 1), TimingInfo(), Tag);
+}
+
+ResultsDocument decodeOrDie(const std::string &Json) {
+  ResultsDocument Doc;
+  std::string Error;
+  EXPECT_TRUE(decodeResults(Json, Doc, Error)) << Error;
+  return Doc;
+}
+
+TEST(ResultsMerge, ShardedRunsMergeToTheUnshardedBytes) {
+  // Includes the Original baseline in shard 0 only, so the merged
+  // overhead_pct figures must be recomputed, not copied; n = 8 exceeds
+  // the 7 cells and leaves shard 7 empty.
+  const std::vector<ExperimentSpec> Specs = smallMatrix();
+  const std::string Whole = jsonForJobs(Specs, 2);
+  for (uint64_t Count : {1u, 3u, 8u}) {
+    std::vector<ResultsDocument> Shards;
+    // Merge order is irrelevant: hand the shards over last to first.
+    for (uint64_t Index = Count; Index-- > 0;)
+      Shards.push_back(decodeOrDie(shardJson(Specs, Index, Count)));
+    ResultsDocument Merged;
+    std::string Error;
+    ASSERT_TRUE(mergeShards(Shards, Merged, Error)) << Error;
+    EXPECT_EQ(resultsToJson(Merged.Results), Whole) << "n = " << Count;
+  }
+}
+
+TEST(ResultsMerge, ErrorAndCancelledCellsRoundTrip) {
+  std::vector<RunResult> Results = runMatrix(smallMatrix(), 2);
+  Results[1].State = RunResult::Status::Error;
+  Results[1].Error = "synthetic \"quoted\" failure\n";
+  Results[2] = RunResult();
+  Results[2].Spec = smallMatrix()[2];
+  const std::string Json = resultsToJson(Results);
+  EXPECT_EQ(resultsToJson(decodeOrDie(Json).Results), Json);
+}
+
+TEST(ResultsMerge, EveryTruncatedDocumentIsRejected) {
+  const std::string Doc = shardJson(smallMatrix(), 2, 3);
+  ASSERT_EQ(Doc.back(), '\n');
+  ResultsDocument Out;
+  std::string Error;
+  // Dropping only the trailing newline leaves the whole JSON value.
+  ASSERT_TRUE(decodeResults(Doc.substr(0, Doc.size() - 1), Out, Error))
+      << Error;
+  for (std::size_t Len = 0; Len + 1 < Doc.size(); ++Len) {
+    Error.clear();
+    EXPECT_FALSE(decodeResults(Doc.substr(0, Len), Out, Error))
+        << "prefix of " << Len << " bytes decoded";
+    EXPECT_FALSE(Error.empty());
+  }
+}
+
+TEST(ResultsMerge, MalformedDocumentsAreRejectedWithAReason) {
+  const std::string Doc = shardJson(smallMatrix(), 0, 3);
+  auto Replace = [&Doc](const std::string &From, const std::string &To) {
+    std::string Out = Doc;
+    const std::size_t At = Out.find(From);
+    EXPECT_NE(At, std::string::npos) << From;
+    return At == std::string::npos ? Out : Out.replace(At, From.size(), To);
+  };
+  const std::vector<std::pair<std::string, std::string>> Cases = {
+      {"wrong schema", Replace("hds-matrix-results-v1", "hds-other-v1")},
+      {"bad shard tag", Replace("\"shard\": \"0/3\"", "\"shard\": \"3/3\"")},
+      {"spec_count", Replace("\"spec_count\": 3", "\"spec_count\": 4")},
+      {"negative counter", Replace("\"cycles\": ", "\"cycles\": -")},
+      {"fractional counter",
+       Replace("\"accesses\": ", "\"accesses\": 0.5")},
+      {"overflowing counter",
+       Replace("\"accesses\": ", "\"accesses\": 99999999999999999999")},
+      {"mistyped counter",
+       Replace("\"iterations\": ", "\"iterations\": \"1\"")},
+      {"missing metric", Replace("\"hits\": ", "\"hitz\": ")},
+      {"unknown field",
+       Replace("\"status\": ", "\"colour\": 1, \"status\": ")},
+      {"duplicate field", Replace("\"seed\": ", "\"seed\": 1, \"seed\": ")},
+      {"unknown mode",
+       Replace("\"mode\": \"original\"", "\"mode\": \"spicy\"")},
+      {"mode_name mismatch",
+       Replace("\"mode_name\": \"", "\"mode_name\": \"x")},
+      {"unknown status", Replace("\"status\": \"ok\"", "\"status\": \"meh\"")},
+      {"non-object cell", Replace("\"results\": [", "\"results\": [1, ")},
+      {"not an object", "[]"},
+      {"empty input", ""},
+  };
+  for (const auto &[Name, Json] : Cases) {
+    ResultsDocument Out;
+    std::string Error;
+    EXPECT_FALSE(decodeResults(Json, Out, Error)) << Name;
+    EXPECT_FALSE(Error.empty()) << Name;
+  }
+}
+
+TEST(ResultsMerge, SeededByteMutationsNeverCrashTheDecoder) {
+  // Every accepted mutation must at least re-render; ASan is watching
+  // the rejected ones.
+  const std::string Doc = shardJson(smallMatrix(), 1, 3);
+  Rng Random(0x243F6A8885A308D3ull);
+  for (int Round = 0; Round < 2000; ++Round) {
+    std::string Mutated = Doc;
+    for (int Flip = 0; Flip < 1 + Round % 4; ++Flip)
+      Mutated[Random.nextBelow(Mutated.size())] =
+          static_cast<char>(Random.nextBelow(256));
+    ResultsDocument Out;
+    std::string Error;
+    if (decodeResults(Mutated, Out, Error))
+      EXPECT_FALSE(resultsToJson(Out.Results).empty());
+    else
+      EXPECT_FALSE(Error.empty());
+  }
+}
+
+TEST(ResultsMerge, InconsistentShardSetsAreRejected) {
+  const std::vector<ExperimentSpec> Specs = smallMatrix();
+  const ResultsDocument S0 = decodeOrDie(shardJson(Specs, 0, 3));
+  const ResultsDocument S1 = decodeOrDie(shardJson(Specs, 1, 3));
+  const ResultsDocument S2 = decodeOrDie(shardJson(Specs, 2, 3));
+  const ResultsDocument Half = decodeOrDie(shardJson(Specs, 1, 2));
+  ResultsDocument Short = S2;
+  Short.Results.pop_back();
+
+  const std::vector<std::pair<std::vector<ResultsDocument>, std::string>>
+      Cases = {
+          {{}, "no documents"},
+          {{S0, S1, S1}, "given twice"},
+          {{S0, S2}, "shard 1/3 is missing"},
+          {{S0, S1, Half}, "different n"},
+          {{S0, S1, Short}, "holds"},
+      };
+  for (const auto &[Docs, Reason] : Cases) {
+    ResultsDocument Merged;
+    std::string Error;
+    EXPECT_FALSE(mergeShards(Docs, Merged, Error)) << Reason;
+    EXPECT_NE(Error.find(Reason), std::string::npos) << Error;
+  }
 }
 
 } // namespace

@@ -11,6 +11,7 @@
 #include "support/Rng.h"
 
 #include <gtest/gtest.h>
+#include <ostream>
 
 using namespace hds::memsim;
 namespace obs = hds::obs;
@@ -338,6 +339,13 @@ struct ThrashCase {
   uint64_t Blocks;
   bool ExpectThrash;
 };
+
+// ThrashCase has padding after its bool, so gtest's default byte dump of
+// the parameter (which the discovered ctest names carry) would read
+// uninitialized memory and change from build to build.
+void PrintTo(const ThrashCase &Case, std::ostream *OS) {
+  *OS << Case.Blocks << (Case.ExpectThrash ? "-blocks-thrash" : "-blocks-fit");
+}
 
 class ThrashTest : public ::testing::TestWithParam<ThrashCase> {};
 

@@ -5,15 +5,15 @@
 // Tests for the typed observability layer (src/obs) and the engine's
 // metric registry built on top of it: the cycle account's clock/phase
 // coupling, the phase timeline invariants, stable-id uniqueness, and the
-// registry <-> wire <-> JSON agreement that makes the metric ids the one
-// source of truth for every serializer.
+// registry <-> JSON writer <-> JSON reader agreement that makes the
+// metric ids the one source of truth for the results format.
 //
 //===----------------------------------------------------------------------===//
 
 #include "engine/ExperimentRunner.h"
 #include "engine/MetricRegistry.h"
 #include "engine/ResultsJson.h"
-#include "engine/Wire.h"
+#include "engine/ResultsDiff.h"
 #include "obs/CycleAccount.h"
 #include "obs/Metrics.h"
 #include "obs/PrefetchStats.h"
@@ -217,7 +217,7 @@ TEST(MetricRegistryTest, IdentityFieldsMatchTheSpecEcho) {
 }
 
 //===----------------------------------------------------------------------===//
-// Registry <-> wire <-> JSON agreement
+// Registry <-> JSON writer <-> JSON reader agreement
 //===----------------------------------------------------------------------===//
 
 /// An Ok result with every registered counter set to a distinct value.
@@ -272,19 +272,16 @@ TEST(MetricRegistryTest, EveryRegisteredIdAppearsInTheJson) {
     }
 }
 
-TEST(MetricRegistryTest, WireRoundTripPreservesEveryRegisteredMetric) {
-  const RunResult Original = denseResult();
-  uint64_t Index = 0;
-  RunResult Decoded;
+TEST(MetricRegistryTest, JsonRoundTripPreservesEveryRegisteredMetric) {
+  const std::string Json =
+      resultsToJson(std::vector<RunResult>{denseResult()}, perResultTiming());
+  ResultsDocument Decoded;
   std::string Error;
-  ASSERT_TRUE(wire::decodeResult(wire::encodeResult(21, Original), Index,
-                                 Decoded, Error))
-      << Error;
+  ASSERT_TRUE(decodeResults(Json, Decoded, Error)) << Error;
+  EXPECT_TRUE(Decoded.PerResultTiming);
   // Byte-identical JSON == every registered field survived the trip
   // (timing enabled so the wall-clock gauges are covered too).
-  EXPECT_EQ(
-      resultsToJson(std::vector<RunResult>{Decoded}, perResultTiming()),
-      resultsToJson(std::vector<RunResult>{Original}, perResultTiming()));
+  EXPECT_EQ(resultsToJson(Decoded.Results, perResultTiming()), Json);
 }
 
 } // namespace

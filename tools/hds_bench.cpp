@@ -22,7 +22,8 @@
 //   hds_bench [options]
 //     --scale F             iteration scale factor (default 1.0)
 //     --repeat N            timed runs per cell, fastest kept (default 3)
-//     --filter key=value    narrow the matrix (workload=, mode=, seed=)
+//     --filter key=value    narrow the matrix (workload=, mode=, seed=,
+//                           shard=i/n)
 //     --out FILE            write results JSON here ('-' = stdout)
 //     --quiet               suppress the summary table
 //
@@ -114,14 +115,12 @@ int main(int Argc, char **Argv) {
 
   std::vector<engine::ExperimentSpec> Specs =
       engine::defaultMatrix(Opts.Scale);
-  for (const std::string &Filter : Opts.Filters) {
-    std::string Error;
-    if (!engine::applyFilter(Specs, Filter, &Error)) {
-      std::fprintf(stderr, "error: %s\n", Error.c_str());
-      return 2;
-    }
+  std::string Shard, Error;
+  if (!engine::applyFilters(Specs, Opts.Filters, Shard, &Error)) {
+    std::fprintf(stderr, "error: %s\n", Error.c_str());
+    return 2;
   }
-  if (Specs.empty()) {
+  if (Specs.empty() && Shard.empty()) {
     std::fprintf(stderr, "error: filters matched no cells\n");
     return 2;
   }
@@ -166,7 +165,7 @@ int main(int Argc, char **Argv) {
     Timing.WallMillis = SuiteNanos / 1000000u;
     Timing.Jobs = 1;
     Timing.IncludePerResult = true;
-    const std::string Json = engine::resultsToJson(Results, Timing);
+    const std::string Json = engine::resultsToJson(Results, Timing, Shard);
     if (Opts.OutPath == "-") {
       std::fwrite(Json.data(), 1, Json.size(), stdout);
     } else {

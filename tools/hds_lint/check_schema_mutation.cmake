@@ -1,6 +1,6 @@
 # The W1 append-only gate must actually bite: mutate a copy of the
-# committed schema lock three ways (reorder a tag, delete a metric,
-# renumber a frame type) and require hds_lint to exit nonzero for each.
+# committed schema lock three ways (reorder a metric, delete a metric,
+# renumber an enumerator) and require hds_lint to exit nonzero for each.
 #
 # Inputs: HDS_LINT, SOURCE_DIR, WORK_DIR.
 
@@ -28,10 +28,9 @@ function(expect_w1_failure NAME MUTATED)
   endif()
 endfunction()
 
-# Reordered tag: SpecWorkload/SpecMode swap places in the lock, so the
-# tree's order no longer matches the locked order.
-string(REPLACE "SpecWorkload 1\nSpecMode 2" "SpecMode 2\nSpecWorkload 1"
-       MUTATED "${ORIGINAL}")
+# Reordered metric: the cache hits/misses ids swap places in the lock, so
+# the tree's order no longer matches the locked order.
+string(REPLACE "hits 0\nmisses 1" "misses 1\nhits 0" MUTATED "${ORIGINAL}")
 expect_w1_failure(reordered "${MUTATED}")
 
 # Deleted metric: drop the first entry of the first metrics section.
@@ -39,7 +38,7 @@ string(REGEX REPLACE "\\[metrics ([A-Za-z_]+)\\]\n[^\n]+\n"
        "[metrics \\1]\n" MUTATED "${ORIGINAL}")
 expect_w1_failure(deleted "${MUTATED}")
 
-# Renumbered frame type: Hello moves from 1 to 9 in the lock while the
-# tree still says 1.
-string(REPLACE "Hello 1" "Hello 9" MUTATED "${ORIGINAL}")
+# Renumbered enumerator: Prefetcher::Kind Markov moves from 1 to 9 in the
+# lock while the tree still says 1.
+string(REPLACE "Markov 1" "Markov 9" MUTATED "${ORIGINAL}")
 expect_w1_failure(renumbered "${MUTATED}")

@@ -1,19 +1,14 @@
-//===- tools/hds_matrix.cpp - Sharded experiment-matrix driver -------------===//
+//===- tools/hds_matrix.cpp - Experiment-matrix driver --------------------===//
 //
 // Part of the hds project (PLDI 2002 hot data stream prefetching repro).
 //
 // Runs the (workload × RunMode × seed × scale) experiment matrix through
-// the engine's Executor API (src/engine/ExecutorFactory.h) and emits
-// machine-readable results.  The merged output is byte-identical for any
-// execution strategy — local threads (--jobs) or the fleet service
-// (--serve/--workers) — so trajectory files can be diffed across
-// machines, thread counts, and transports (see docs/engine.md for the
-// determinism contract and the JSON schema).
-//
-// The distributed flags here are thin wrappers over the fleet service;
-// `hds_fleet` is the full-featured front end (status, resume,
-// summarize — docs/fleet.md).  Both parse the same cli::FleetOptions
-// fragment, so the vocabularies cannot drift.
+// engine::runMatrix and emits machine-readable results.  The output is
+// byte-identical for any --jobs value, and a sweep split across
+// processes with --filter shard=i/n merges back (--merge) to the very
+// same bytes, so trajectory files can be diffed across machines and
+// thread counts (see docs/engine.md for the determinism contract and the
+// JSON schema).
 //
 // Usage:
 //   hds_matrix [options]
@@ -21,7 +16,8 @@
 //     --scale F             iteration scale factor (default 1.0)
 //     --seeds N             add layout-seed variants 1..N of every cell
 //     --filter key=value    narrow the matrix (workload=mcf, mode=dynpref,
-//                           seed=3); repeatable, filters AND together
+//                           seed=3, shard=0/3); repeatable, filters AND
+//                           together, shard= applies last
 //     --out FILE            write the results JSON to FILE ("-" = stdout)
 //     --timing              include wall-clock timing in the JSON (makes
 //                           the output non-deterministic by design)
@@ -30,11 +26,9 @@
 //     --list                print the selected specs and exit
 //     --quiet               suppress the progress lines on stderr
 //
-//   Fleet execution (cli/Options.h fleet fragment; see docs/fleet.md):
-//     --serve ADDR, --workers N, --job-timeout MS, --idle-timeout MS,
-//     --token SECRET, --allow-remote, --heartbeat-interval MS,
-//     --heartbeat-misses N, --checkpoint FILE on the serve side;
-//     --worker ADDR plus the worker-side subset to join a fleet.
+//   Shard merge:
+//     --merge FILE          a shard document to merge (repeat once per
+//                           shard); writes the merged JSON to --out
 //
 //   Result comparison:
 //     --diff A.json B.json  compare two results files cell-by-cell;
@@ -48,25 +42,19 @@
 //===----------------------------------------------------------------------===//
 
 #include "cli/Options.h"
-#include "engine/ExecutorFactory.h"
 #include "engine/ExperimentRunner.h"
 #include "engine/ExperimentSpec.h"
 #include "engine/ResultsDiff.h"
 #include "engine/ResultsJson.h"
-#include "fleet/FleetCli.h"
-#include "fleet/Worker.h"
 #include "support/Table.h"
 
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
-#include <unistd.h>
 #include <vector>
 
 using namespace hds;
@@ -84,8 +72,8 @@ struct Options {
   bool List = false;
   bool Quiet = false;
 
-  /// Distributed modes: the shared fleet vocabulary.
-  cli::FleetOptions Fleet;
+  // Merge mode.
+  std::vector<std::string> MergePaths;
 
   // Diff mode.
   std::string DiffA, DiffB;
@@ -98,15 +86,12 @@ struct Options {
       stderr,
       "usage: %s [--jobs N] [--scale F] [--seeds N] [--filter key=value]...\n"
       "          [--out FILE] [--timing] [--lint-timing FILE] [--list]\n"
-      "          [--quiet]%s\n"
-      "       %s%s\n"
+      "          [--quiet]\n"
+      "       %s --merge SHARD.json... [--out FILE] [--quiet]\n"
       "       %s --diff A.json B.json [--threshold PCT] "
       "[--wall-threshold PCT]\n"
-      "%s"
-      "addresses: host:port (port 0 = ephemeral) or unix:/path\n",
-      Binary, cli::fleetServeOptionsUsage().c_str(), Binary,
-      cli::fleetWorkerOptionsUsage().c_str(), Binary,
-      engine::filterHelp().c_str());
+      "%s",
+      Binary, Binary, Binary, engine::filterHelp().c_str());
   std::exit(2);
 }
 
@@ -123,20 +108,13 @@ Options parseOptions(int Argc, char **Argv) {
       .str("--lint-timing", Opts.LintTimingPath)
       .flag("--list", Opts.List)
       .flag("--quiet", Opts.Quiet)
+      .strList("--merge", Opts.MergePaths)
       .strPair("--diff", Opts.DiffA, Opts.DiffB)
       .nonNegativeDouble("--threshold", Opts.ThresholdPct)
       .nonNegativeDouble("--wall-threshold", Opts.WallThresholdPct);
-  // Both fleet sides: this tool can coordinate or join.  Rows present on
-  // both sides register twice; the parser takes the first match and both
-  // write the same field, so the duplicate is harmless.
-  cli::addFleetServeOptions(Set, Opts.Fleet);
-  cli::addFleetWorkerOptions(Set, Opts.Fleet);
   Set.parse(Argc, Argv);
-  if (!Opts.Fleet.WorkerAddr.empty() &&
-      (!Opts.Fleet.ServeAddr.empty() || Opts.Fleet.Workers != 0 ||
-       !Opts.DiffA.empty())) {
-    std::fprintf(stderr,
-                 "error: --worker excludes --serve/--workers/--diff\n");
+  if (!Opts.MergePaths.empty() && !Opts.DiffA.empty()) {
+    std::fprintf(stderr, "error: --merge excludes --diff\n");
     std::exit(2);
   }
   return Opts;
@@ -204,17 +182,68 @@ int runDiffMode(const Options &Opts) {
   return Report.regressed() ? 1 : 0;
 }
 
-int runWorkerMode(const Options &Opts) {
-  std::string Error;
-  const fleet::WorkerExit Exit = fleet::runWorker(
-      Opts.Fleet.WorkerAddr, fleet::workerOptionsFromCli(Opts.Fleet), &Error);
-  if (Exit == fleet::WorkerExit::CleanShutdown) {
-    if (!Opts.Quiet)
-      std::fprintf(stderr, "worker: clean shutdown\n");
-    return 0;
+/// Prints the summary table and writes the JSON to --out; exits 1 when
+/// any cell errored (the shared tail of run and merge mode).
+int writeResults(const Options &Opts,
+                 const std::vector<engine::RunResult> &Results,
+                 const engine::TimingInfo &Timing, const std::string &Shard) {
+  // With --out - the JSON owns stdout; keep the human table off it.
+  if (Opts.OutPath != "-")
+    printSummary(Results);
+
+  bool AnyError = false;
+  for (const engine::RunResult &Result : Results)
+    if (Result.State == engine::RunResult::Status::Error)
+      AnyError = true;
+
+  if (!Opts.OutPath.empty()) {
+    const std::string Json = engine::resultsToJson(Results, Timing, Shard);
+    if (Opts.OutPath == "-") {
+      std::fwrite(Json.data(), 1, Json.size(), stdout);
+    } else {
+      std::FILE *Out = std::fopen(Opts.OutPath.c_str(), "w");
+      if (!Out) {
+        std::fprintf(stderr, "error: cannot open '%s' for writing\n",
+                     Opts.OutPath.c_str());
+        return 2;
+      }
+      std::fwrite(Json.data(), 1, Json.size(), Out);
+      std::fclose(Out);
+      if (!Opts.Quiet)
+        std::fprintf(stderr, "results: %zu experiments -> %s\n",
+                     Results.size(), Opts.OutPath.c_str());
+    }
   }
-  std::fprintf(stderr, "worker: %s\n", Error.c_str());
-  return 1;
+
+  return AnyError ? 1 : 0;
+}
+
+int runMergeMode(const Options &Opts) {
+  std::vector<engine::ResultsDocument> Shards;
+  for (const std::string &Path : Opts.MergePaths) {
+    bool Ok = false;
+    const std::string Json = readWholeFile(Path, Ok);
+    if (!Ok) {
+      std::fprintf(stderr, "error: cannot read '%s'\n", Path.c_str());
+      return 2;
+    }
+    engine::ResultsDocument Shard;
+    std::string Error;
+    if (!engine::decodeResults(Json, Shard, Error)) {
+      std::fprintf(stderr, "error: %s: %s\n", Path.c_str(), Error.c_str());
+      return 2;
+    }
+    Shards.push_back(std::move(Shard));
+  }
+  engine::ResultsDocument Merged;
+  std::string Error;
+  if (!engine::mergeShards(Shards, Merged, Error)) {
+    std::fprintf(stderr, "error: %s\n", Error.c_str());
+    return 2;
+  }
+  engine::TimingInfo Timing;
+  Timing.IncludePerResult = Merged.PerResultTiming;
+  return writeResults(Opts, Merged.Results, Timing, std::string());
 }
 
 } // namespace
@@ -224,8 +253,8 @@ int main(int Argc, char **Argv) {
 
   if (!Opts.DiffA.empty())
     return runDiffMode(Opts);
-  if (!Opts.Fleet.WorkerAddr.empty())
-    return runWorkerMode(Opts);
+  if (!Opts.MergePaths.empty())
+    return runMergeMode(Opts);
 
   std::vector<engine::ExperimentSpec> Specs =
       engine::defaultMatrix(Opts.Scale);
@@ -238,14 +267,14 @@ int main(int Argc, char **Argv) {
         Specs.push_back(Variant);
       }
   }
-  for (const std::string &Filter : Opts.Filters) {
-    std::string Error;
-    if (!engine::applyFilter(Specs, Filter, &Error)) {
-      std::fprintf(stderr, "error: %s\n", Error.c_str());
-      return 2;
-    }
+  std::string Shard, Error;
+  if (!engine::applyFilters(Specs, Opts.Filters, Shard, &Error)) {
+    std::fprintf(stderr, "error: %s\n", Error.c_str());
+    return 2;
   }
-  if (Specs.empty()) {
+  // A shard past the end of a short list is legitimately empty; it still
+  // writes its (empty) document so the merge sees every shard.
+  if (Specs.empty() && Shard.empty()) {
     std::fprintf(stderr, "error: filters selected no experiments\n");
     return 2;
   }
@@ -272,46 +301,17 @@ int main(int Argc, char **Argv) {
     Timing.LintJson = Text;
   }
 
-  const bool Distributed =
-      !Opts.Fleet.ServeAddr.empty() || Opts.Fleet.Workers != 0;
   unsigned Jobs = Opts.Jobs != 0 ? Opts.Jobs
                                  : std::thread::hardware_concurrency();
   if (Jobs == 0)
     Jobs = 1;
 
-  // Pick the executor: same API, different transport.
-  std::unique_ptr<engine::Executor> Exec;
-  if (Distributed) {
-    engine::FleetConfig Config = fleet::fleetConfigFromCli(Opts.Fleet);
-    if (Opts.Fleet.ServeAddr.empty())
-      // Workers-only mode: a private Unix socket nobody races on.
-      Config.ListenAddr =
-          "unix:/tmp/hds-matrix-" + std::to_string(getpid()) + ".sock";
-    std::string Bound, Error;
-    std::unique_ptr<engine::Executor> Remote =
-        engine::makeFleet(Config, &Bound, &Error);
-    if (!Remote) {
-      std::fprintf(stderr, "error: cannot listen on '%s': %s\n",
-                   Config.ListenAddr.c_str(), Error.c_str());
-      return 2;
-    }
-    if (!Opts.Quiet)
-      std::fprintf(stderr, "serving %zu experiments on %s (%u local "
-                           "worker(s))\n",
-                   Specs.size(), Bound.c_str(), Opts.Fleet.Workers);
-    Exec = std::move(Remote);
-  } else {
-    engine::FleetConfig Config;
-    Config.Jobs = Jobs;
-    Exec = engine::makeLocal(Config);
-  }
-
-  std::function<void(std::size_t, const engine::RunResult &)> OnResult;
+  engine::OnResult Progress;
   const size_t Total = Specs.size();
   if (!Opts.Quiet)
     // Mutable counter; deliveries are serialized under the sink lock.
-    OnResult = [Total, Done = size_t{0}](
-                   size_t, const engine::RunResult &R) mutable {
+    Progress = [Total, Done = size_t{0}](size_t,
+                                         const engine::RunResult &R) mutable {
       std::fprintf(stderr, "[%zu/%zu] %s: %s\n", ++Done, Total,
                    R.Spec.label().c_str(),
                    R.ok() ? "ok"
@@ -322,7 +322,7 @@ int main(int Argc, char **Argv) {
 
   const auto Start = std::chrono::steady_clock::now();
   const std::vector<engine::RunResult> Results =
-      Exec->run(Specs, std::move(OnResult));
+      engine::runMatrix(Specs, Jobs, nullptr, std::move(Progress));
   const auto End = std::chrono::steady_clock::now();
 
   if (Opts.Timing) {
@@ -330,36 +330,8 @@ int main(int Argc, char **Argv) {
     Timing.WallMillis = static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::milliseconds>(End - Start)
             .count());
-    Timing.Jobs = Distributed ? Opts.Fleet.Workers : Jobs;
+    Timing.Jobs = Jobs;
   }
 
-  // With --out - the JSON owns stdout; keep the human table off it.
-  if (Opts.OutPath != "-")
-    printSummary(Results);
-
-  bool AnyError = false;
-  for (const engine::RunResult &Result : Results)
-    if (Result.State == engine::RunResult::Status::Error)
-      AnyError = true;
-
-  if (!Opts.OutPath.empty()) {
-    const std::string Json = engine::resultsToJson(Results, Timing);
-    if (Opts.OutPath == "-") {
-      std::fwrite(Json.data(), 1, Json.size(), stdout);
-    } else {
-      std::FILE *Out = std::fopen(Opts.OutPath.c_str(), "w");
-      if (!Out) {
-        std::fprintf(stderr, "error: cannot open '%s' for writing\n",
-                     Opts.OutPath.c_str());
-        return 2;
-      }
-      std::fwrite(Json.data(), 1, Json.size(), Out);
-      std::fclose(Out);
-      if (!Opts.Quiet)
-        std::fprintf(stderr, "results: %zu experiments -> %s\n",
-                     Results.size(), Opts.OutPath.c_str());
-    }
-  }
-
-  return AnyError ? 1 : 0;
+  return writeResults(Opts, Results, Timing, Shard);
 }
