@@ -15,11 +15,13 @@ Cache::Cache(const CacheConfig &Cfg) : Config(Cfg), NumSets(Cfg.numSets()) {
   Lines.assign(NumSets * 2 * Cfg.Associativity, 0);
   StreamTags.assign(NumSets * Cfg.Associativity, obs::NoStreamTag);
 
-  if (std::has_single_bit(uint64_t{Cfg.BlockBytes}) &&
-      std::has_single_bit(NumSets)) {
-    ShiftGeometry = true;
+  if (std::has_single_bit(uint64_t{Cfg.BlockBytes})) {
+    BlockPow2 = true;
     BlockShift = static_cast<unsigned>(
         std::countr_zero(uint64_t{Cfg.BlockBytes}));
+  }
+  if (BlockPow2 && std::has_single_bit(NumSets)) {
+    ShiftGeometry = true;
     SetShift = static_cast<unsigned>(std::countr_zero(NumSets));
     SetMask = NumSets - 1;
   }

@@ -267,6 +267,13 @@ public:
   /// Drops all lines (used between benchmark configurations).
   void reset();
 
+  /// Block number of \p Address: a shift for power-of-two block sizes
+  /// (every real configuration), a division otherwise.  The hierarchy
+  /// and the prefetcher zoo share it so no hot path divides.
+  uint64_t blockOf(Addr Address) const {
+    return BlockPow2 ? Address >> BlockShift : Address / Config.BlockBytes;
+  }
+
   const CacheConfig &config() const { return Config; }
   const CacheStats &stats() const { return Stats; }
   void clearStats() { Stats = CacheStats(); }
@@ -277,12 +284,9 @@ public:
 private:
   static constexpr unsigned NoWay = ~0u;
 
-  uint64_t blockNumber(Addr Address) const {
-    return ShiftGeometry ? Address >> BlockShift : Address / Config.BlockBytes;
-  }
   /// Index of a set's first tag slot in Lines (set * 2 * Associativity).
   uint64_t setBase(Addr Address) const {
-    const uint64_t Block = blockNumber(Address);
+    const uint64_t Block = blockOf(Address);
     return (ShiftGeometry ? Block & SetMask : Block % NumSets) *
            (2 * Config.Associativity);
   }
@@ -291,7 +295,7 @@ private:
   /// so the way scan compares one word per way.  Tags are block-number
   /// >> set-bits, leaving bit 63 free for the shift.
   Addr encodeTag(Addr Address) const {
-    const uint64_t Block = blockNumber(Address);
+    const uint64_t Block = blockOf(Address);
     return ((ShiftGeometry ? Block >> SetShift : Block / NumSets) << 1) | 1;
   }
 
@@ -308,10 +312,11 @@ private:
   uint64_t NumSets;
   uint64_t UseClock = 0;
 
-  /// Shift/mask geometry, valid when BlockBytes and NumSets are both
-  /// powers of two.
-  bool ShiftGeometry = false;
+  /// BlockShift is valid when BlockBytes is a power of two; the set
+  /// shift/mask geometry when NumSets is one as well.
+  bool BlockPow2 = false;
   unsigned BlockShift = 0;
+  bool ShiftGeometry = false;
   unsigned SetShift = 0;
   uint64_t SetMask = 0;
 

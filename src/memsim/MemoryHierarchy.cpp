@@ -107,7 +107,7 @@ void MemoryHierarchy::prefetchT0(Addr Address, bool ChargeIssueSlot,
     FillL2 = true;
   }
   InFlightReady.push_back(ReadyCycle);
-  InFlightBlock.push_back(blockNumber(Address));
+  InFlightBlock.push_back(L1.blockOf(Address));
   InFlightMeta.push_back((uint64_t{StreamTag} << 1) | (FillL2 ? 1 : 0));
   if (ReadyCycle < NextReadyCycle)
     NextReadyCycle = ReadyCycle;

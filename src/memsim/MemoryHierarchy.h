@@ -285,10 +285,6 @@ public:
   }
 
 private:
-  uint64_t blockNumber(Addr Address) const {
-    return Address / L1.config().BlockBytes;
-  }
-
   /// Charges one demand access: the stalled portion is attributed to
   /// DemandStall (or PartialHitStall), the remainder to PureCompute.
   void charge(uint64_t LatencyCycles, uint64_t StallPortion,
@@ -337,7 +333,7 @@ private:
   size_t findInFlight(Addr Address) const {
     if (InFlightBlock.empty())
       return NotInFlight;
-    const uint64_t Block = blockNumber(Address);
+    const uint64_t Block = L1.blockOf(Address);
     for (size_t I = 0; I < InFlightBlock.size(); ++I)
       if (InFlightBlock[I] == Block)
         return I;

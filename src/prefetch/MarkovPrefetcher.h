@@ -25,6 +25,19 @@
 /// (which dedicated megabytes of state — generous, but that is the
 /// comparison point).
 ///
+/// Layout: one open-addressed table of fixed-size slots,
+/// [block, successor x SuccessorsPerNode], ~0 marking an empty key or
+/// successor.  Linear probing from a multiplicative hash, backward-shift
+/// deletion (no tombstones), and a capacity fixed from MaxNodes at a load
+/// of at most 2/3, so the table never rehashes.  The slots are allocated
+/// on the first miss, not at construction, so a cell's set-up stays
+/// cheap.  Global FIFO eviction runs over the InsertionOrder ring.  This
+/// is why Markov stays its own engine rather than a configuration of the
+/// set-associative pair table: set-local replacement cannot reproduce
+/// insertion-order eviction over the whole table.
+/// src/testing/ReferenceMarkov.h keeps the map-of-vectors model this
+/// replaced; tests/prefetchers_test.cpp drives both in lockstep.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef HDS_PREFETCH_MARKOVPREFETCHER_H
@@ -34,7 +47,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 namespace hds {
@@ -52,29 +64,48 @@ struct MarkovPrefetcherConfig {
 /// The correlation table.
 class MarkovPrefetcher : public Prefetcher {
 public:
-  MarkovPrefetcher(const MarkovPrefetcherConfig &Cfg, uint32_t AssignedTag)
-      : Prefetcher(Kind::Markov, AssignedTag), Config(Cfg) {}
+  MarkovPrefetcher(const MarkovPrefetcherConfig &Cfg, uint32_t AssignedTag);
 
   /// Observes a demand access that missed L1 (block granularity) and
   /// issues prefetches for the predicted successors.
   void onMiss(const AccessEvent &Event,
               memsim::MemoryHierarchy &Hierarchy) override;
 
-  size_t nodeCount() const { return Nodes.size(); }
+  size_t nodeCount() const { return Nodes; }
+
+  /// Slots in the table (fixed by MaxNodes; allocated on the first miss).
+  size_t slotCount() const { return SlotMask + 1; }
+  /// The slot \p Block's probe run starts at (tests build colliding
+  /// keys with it).
+  size_t homeSlot(uint64_t Block) const {
+    return static_cast<size_t>((Block * 0x9E3779B97F4A7C15ull) >> HashShift);
+  }
 
   void reset() override;
 
 private:
-  struct Node {
-    /// Most-recent-first successor blocks.
-    std::vector<uint64_t> Successors;
-  };
+  static constexpr uint64_t Empty = ~uint64_t{0};
+
+  uint64_t *slot(size_t Index) { return &Table[Index * SlotWords]; }
+  /// The slot holding \p Block, or the empty slot that ends its run.
+  size_t find(uint64_t Block) const;
+  /// Empties the slot at \p Hole, shifting later run members back.
+  void erase(size_t Hole);
 
   MarkovPrefetcherConfig Config;
-  std::unordered_map<uint64_t, Node> Nodes;
+  /// Words per slot: the key block, then the successors, most recent
+  /// first.
+  size_t SlotWords;
+  size_t SlotMask;
+  unsigned HashShift;
+  /// Empty until the first miss.
+  std::vector<uint64_t> Table;
+  size_t Nodes = 0;
+  /// Keys in insertion order: a ring once the table is full, its cursor
+  /// at the oldest node.
   std::vector<uint64_t> InsertionOrder;
   size_t EvictCursor = 0;
-  uint64_t LastMissBlock = ~uint64_t{0};
+  uint64_t LastMissBlock = Empty;
 };
 
 } // namespace prefetch

@@ -56,28 +56,31 @@ void PairTablePrefetcher::predict(uint64_t Block, uint32_t Budget,
   const Entry *Set = &Table[setBase(Block)];
   // Most confident successors first; ties resolve by way order so the
   // issue sequence is a pure function of table state.  Candidate ways
-  // are gathered into a scratch list kept sorted by (confidence desc,
-  // way asc) — sets are a handful of ways, so insertion sort is the
-  // cheap option and allocates nothing after warm-up.
-  Scratch.clear();
+  // are kept sorted by (confidence desc, way asc) with an in-place
+  // insertion sort — sets are a handful of ways.
+  uint32_t Count = 0;
   for (uint32_t Way = 0; Way < Config.Ways; ++Way) {
     const Entry &E = Set[Way];
     if (E.KeyBlock != Block || E.Confidence < Config.IssueThreshold)
       continue;
-    size_t Pos = Scratch.size();
-    while (Pos > 0 && Set[Scratch[Pos - 1]].Confidence < E.Confidence)
+    uint32_t Pos = Count;
+    while (Pos > 0 && Set[Candidates[Pos - 1]].Confidence < E.Confidence) {
+      Candidates[Pos] = Candidates[Pos - 1];
       --Pos;
-    Scratch.insert(Scratch.begin() + static_cast<ptrdiff_t>(Pos), Way);
+    }
+    Candidates[Pos] = Way;
+    ++Count;
   }
-  const uint32_t Count = static_cast<uint32_t>(Scratch.size());
+  // A nested predict() (see Candidates) may rewrite the slots between
+  // issues; this loop deliberately rereads them.
   for (uint32_t I = 0; I < Count && I < Budget; ++I)
-    issue(Set[Scratch[I]].NextBlock * BlockBytes, Hierarchy);
+    issue(Set[Candidates[I]].NextBlock * BlockBytes, Hierarchy);
 }
 
 void PairTablePrefetcher::onMiss(const AccessEvent &Event,
                                  memsim::MemoryHierarchy &Hierarchy) {
   const uint64_t BlockBytes = Hierarchy.l1().config().BlockBytes;
-  const uint64_t Block = Event.Addr / BlockBytes;
+  const uint64_t Block = Hierarchy.l1().blockOf(Event.Addr);
 
   if (LastMissBlock != ~uint64_t{0} && LastMissBlock != Block)
     train(LastMissBlock, Block);
@@ -93,7 +96,7 @@ void PairTablePrefetcher::onFill(memsim::Addr BlockAddr,
   if (!Config.ChainOnFill)
     return;
   const uint64_t BlockBytes = Hierarchy.l1().config().BlockBytes;
-  predict(BlockAddr / BlockBytes, 1, BlockBytes, Hierarchy);
+  predict(Hierarchy.l1().blockOf(BlockAddr), 1, BlockBytes, Hierarchy);
 }
 
 uint64_t PairTablePrefetcher::occupiedEntries() const {

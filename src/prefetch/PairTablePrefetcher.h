@@ -33,6 +33,7 @@
 
 #include "prefetch/Prefetcher.h"
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -41,7 +42,8 @@ namespace prefetch {
 
 /// Knobs for the pair-table prefetcher.
 struct PairTableConfig {
-  /// Sets in the pair table (power of two recommended, not required).
+  /// Sets in the pair table (a power of two indexes by mask; any other
+  /// count falls back to a modulo).
   uint32_t Sets = 1024;
   /// Ways per set.
   uint32_t Ways = 4;
@@ -61,7 +63,9 @@ class PairTablePrefetcher : public Prefetcher {
 public:
   PairTablePrefetcher(const PairTableConfig &Cfg, uint32_t AssignedTag)
       : Prefetcher(Kind::PairTable, AssignedTag), Config(Cfg),
-        Table(static_cast<size_t>(Cfg.Sets) * Cfg.Ways) {}
+        SetsPow2(std::has_single_bit(Cfg.Sets)),
+        Table(static_cast<size_t>(Cfg.Sets) * Cfg.Ways),
+        Candidates(Cfg.Ways) {}
 
   /// Observes an L1 miss: trains the (previous miss -> this miss) pair
   /// and issues this miss's recorded successors.
@@ -92,8 +96,10 @@ private:
   size_t setBase(uint64_t Block) const {
     // Deterministic multiplicative mix so adjacent blocks spread over
     // sets (a plain modulo aliases strided workloads onto few sets).
-    const uint64_t Mixed = Block * 0x9E3779B97F4A7C15ull;
-    return static_cast<size_t>((Mixed >> 32) % Config.Sets) * Config.Ways;
+    const uint64_t Mixed = (Block * 0x9E3779B97F4A7C15ull) >> 32;
+    const uint64_t Set =
+        SetsPow2 ? Mixed & (Config.Sets - 1) : Mixed % Config.Sets;
+    return static_cast<size_t>(Set) * Config.Ways;
   }
 
   void train(uint64_t FromBlock, uint64_t ToBlock);
@@ -102,11 +108,16 @@ private:
                memsim::MemoryHierarchy &Hierarchy);
 
   PairTableConfig Config;
+  bool SetsPow2;
   std::vector<Entry> Table;
   uint64_t LastMissBlock = ~uint64_t{0};
-  /// predict() candidate ways, sorted (confidence desc, way asc); a
-  /// member so the per-miss path stops allocating once warm.
-  std::vector<uint32_t> Scratch;
+  /// predict() candidate ways, sorted (confidence desc, way asc); one
+  /// slot per way, sized once.  Nested fills share the buffer: issue()
+  /// can drain a due prefetch whose onFill re-enters predict(), which
+  /// refills these slots while the outer call is still reading them.
+  /// The outer call keeps its own count and reads whatever the nested
+  /// call left in place — the committed references encode that order.
+  std::vector<uint32_t> Candidates;
 };
 
 } // namespace prefetch

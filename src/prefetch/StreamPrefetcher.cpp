@@ -11,8 +11,7 @@ using namespace hds::prefetch;
 
 void StreamPrefetcher::onMiss(const AccessEvent &Event,
                               memsim::MemoryHierarchy &Hierarchy) {
-  const uint64_t BlockBytes = Hierarchy.l1().config().BlockBytes;
-  const uint64_t Block = Event.Addr / BlockBytes;
+  const uint64_t Block = Hierarchy.l1().blockOf(Event.Addr);
   const uint64_t Region = Event.Addr >> Config.RegionShift;
 
   Entry &E = Table[static_cast<size_t>(Region) % Table.size()];
@@ -52,6 +51,7 @@ void StreamPrefetcher::onMiss(const AccessEvent &Event,
   // Confident run: fetch Degree blocks along the direction, starting
   // Distance blocks past the miss (both closed-loop tuned; without a
   // tuner Degree is the configured constant and Distance is 0).
+  const uint64_t BlockBytes = Hierarchy.l1().config().BlockBytes;
   const uint32_t Degree = effectiveDegree(Config.Degree);
   const uint32_t Distance = tunedDistance();
   for (uint32_t I = 1 + Distance; I <= Distance + Degree; ++I) {

@@ -172,6 +172,23 @@ TEST(CacheModelDifferential, LockstepAcrossGeometriesAndSeeds) {
     }
 }
 
+TEST(CacheModelDifferential, BlockOfMatchesDivision) {
+  // blockOf shifts for power-of-two blocks and divides otherwise; both
+  // must agree with the plain division the reference model uses.
+  std::vector<CacheConfig> Configs;
+  for (const Geometry &G : Geometries)
+    Configs.push_back(G.Config);
+  Configs.push_back(CacheConfig{4 * 2 * 48, 2, 48}); // 48-byte blocks
+  Rng Addresses(7);
+  for (const CacheConfig &Config : Configs) {
+    const Cache Packed(Config);
+    for (int I = 0; I < 1000; ++I) {
+      const Addr Address = Addresses.next();
+      EXPECT_EQ(Packed.blockOf(Address), Address / Config.BlockBytes);
+    }
+  }
+}
+
 TEST(CacheModelDifferential, AdversarialSetConflicts) {
   // All addresses land in one set: maximal eviction pressure, the LRU
   // victim choice diverges immediately if the argmin is wrong.

@@ -16,9 +16,14 @@
 #include "prefetch/PrefetcherStack.h"
 #include "prefetch/StreamPrefetcher.h"
 #include "prefetch/StridePrefetcher.h"
+#include "support/Rng.h"
+#include "testing/ReferenceMarkov.h"
 #include "workloads/Workload.h"
 
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <vector>
 
 using namespace hds;
 using namespace hds::core;
@@ -35,6 +40,35 @@ AccessEvent hit(vulcan::SiteId Site, memsim::Addr Addr) {
 AccessEvent miss(memsim::Addr Addr) {
   return AccessEvent{1, Addr, 100, true};
 }
+
+/// Records every completed prefetch fill in queue order — which is issue
+/// order for prefetches queued together — and optionally hands each one
+/// to a prefetcher's onFill, the way the runtime's stack chains fills.
+class FillRecorder : public memsim::PrefetchListener {
+public:
+  std::vector<memsim::Addr> Fills;
+  Prefetcher *ForwardTo = nullptr;
+
+  void onPrefetchFill(memsim::Addr BlockAddr, uint32_t StreamTag,
+                      memsim::MemoryHierarchy &Hierarchy) override {
+    (void)StreamTag;
+    Fills.push_back(BlockAddr);
+    if (ForwardTo)
+      ForwardTo->onFill(BlockAddr, Hierarchy);
+  }
+  void onPrefetchUseful(memsim::Addr Address, uint32_t StreamTag) override {
+    (void)Address;
+    (void)StreamTag;
+  }
+  void onPrefetchLate(memsim::Addr Address, uint32_t StreamTag) override {
+    (void)Address;
+    (void)StreamTag;
+  }
+  void onPrefetchEvicted(memsim::Addr BlockAddr, uint32_t StreamTag) override {
+    (void)BlockAddr;
+    (void)StreamTag;
+  }
+};
 
 //===----------------------------------------------------------------------===//
 // StridePrefetcher
@@ -201,6 +235,110 @@ TEST_F(MarkovTest, PrioritizedByRecency) {
   EXPECT_EQ(Prefetcher.issued() - Before, 2u);
 }
 
+TEST_F(MarkovTest, SlotCountKeepsLoadAtMostTwoThirds) {
+  // 65536 nodes fit 131072 slots (load 1/2); a single node still gets
+  // two slots so every probe run ends at an empty one.
+  EXPECT_EQ(Prefetcher.slotCount(), 131072u);
+  MarkovPrefetcherConfig One;
+  One.MaxNodes = 1;
+  EXPECT_EQ(MarkovPrefetcher(One, /*AssignedTag=*/0).slotCount(), 2u);
+  One.MaxNodes = 4;
+  EXPECT_EQ(MarkovPrefetcher(One, /*AssignedTag=*/0).slotCount(), 8u);
+}
+
+/// One engine under test plus the hierarchy it issues into.  The
+/// hierarchy's caches are tiny because it is reset after every miss: a
+/// reset empties both levels and the in-flight queue, so every issue of
+/// the next miss is queued (never redundant) and the recorder sees each
+/// issued address once, in issue order.
+template <typename EngineT> struct OracleLane {
+  memsim::MemoryHierarchy Memory{memsim::CacheConfig{256, 2, 32},
+                                 memsim::CacheConfig{512, 2, 32}};
+  FillRecorder Issued;
+  EngineT Engine;
+
+  explicit OracleLane(const MarkovPrefetcherConfig &Config)
+      : Engine(Config, /*AssignedTag=*/0) {
+    Memory.setListener(&Issued);
+  }
+
+  /// The addresses \p Addr's miss issued, in order.
+  std::vector<memsim::Addr> miss(memsim::Addr Addr) {
+    Issued.Fills.clear();
+    Engine.onMiss(AccessEvent{1, Addr, 100, true}, Memory);
+    Memory.tick(1000);
+    Memory.reset();
+    return Issued.Fills;
+  }
+};
+
+/// Blocks whose probe runs start in the last two slots of \p Table, so
+/// runs of them wrap past the table's end.
+std::vector<uint64_t> collidingBlocks(const MarkovPrefetcher &Table,
+                                      size_t Count, Rng &Random) {
+  std::vector<uint64_t> Blocks;
+  while (Blocks.size() < Count) {
+    const uint64_t Block = Random.nextBelow(uint64_t{1} << 40);
+    if (Table.homeSlot(Block) + 2 >= Table.slotCount())
+      Blocks.push_back(Block);
+  }
+  return Blocks;
+}
+
+TEST(MarkovOracleTest, FlatTableMatchesReferenceInLockstep) {
+  // The flat table must reproduce the map-of-vectors engine it replaced
+  // exactly: the same addresses issued in the same order, the same
+  // training count and the same node count after every miss.  The miss
+  // stream walks a block universe three times the table bound (successor
+  // lists hit, reorder and overflow; FIFO eviction runs), mixes in blocks
+  // that collide on the last home slots (probe runs wrap past the end,
+  // evicting one shifts the rest of its run back), repeats the previous
+  // block and jumps at random.  Both engines reset halfway through.
+  for (uint32_t MaxNodes : {1u, 4u, 64u, 65536u}) {
+    for (uint32_t Successors : {1u, 2u, 4u}) {
+      SCOPED_TRACE("MaxNodes=" + std::to_string(MaxNodes) +
+                   " SuccessorsPerNode=" + std::to_string(Successors));
+      MarkovPrefetcherConfig Config;
+      Config.MaxNodes = MaxNodes;
+      Config.SuccessorsPerNode = Successors;
+      OracleLane<MarkovPrefetcher> Flat(Config);
+      OracleLane<hds::testing::ReferenceMarkov> Reference(Config);
+
+      Rng Random(0xC0FFEEull * MaxNodes + Successors);
+      const std::vector<uint64_t> Colliders =
+          collidingBlocks(Flat.Engine, 8, Random);
+      const uint64_t Universe = 3 * uint64_t{MaxNodes} + 8;
+      const size_t Misses = MaxNodes >= 65536 ? 200000 : 4000;
+      uint64_t Cursor = 0, Block = 0;
+      for (size_t I = 0; I < Misses; ++I) {
+        if (I == Misses / 2) {
+          Flat.Engine.reset();
+          Reference.Engine.reset();
+        }
+        const uint64_t Pick = Random.nextBelow(16);
+        if (Pick < 9) {
+          Cursor = (Cursor + 1 + Random.nextBelow(3)) % Universe;
+          Block = 0x40000 + Cursor;
+        } else if (Pick < 12) {
+          Block = Colliders[Random.nextBelow(Colliders.size())];
+        } else if (Pick < 15) {
+          Cursor = Random.nextBelow(Universe);
+          Block = 0x40000 + Cursor;
+        } // else: the previous block misses again
+        const memsim::Addr Addr = Block * 32 + Random.nextBelow(32);
+        ASSERT_EQ(Flat.miss(Addr), Reference.miss(Addr)) << "miss " << I;
+        ASSERT_EQ(Flat.Engine.trains(), Reference.Engine.trains())
+            << "miss " << I;
+        ASSERT_EQ(Flat.Engine.nodeCount(), Reference.Engine.nodeCount())
+            << "miss " << I;
+        ASSERT_EQ(Flat.Engine.issued(), Reference.Engine.issued())
+            << "miss " << I;
+      }
+      EXPECT_LE(Flat.Engine.nodeCount(), MaxNodes);
+    }
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // StreamPrefetcher
 //===----------------------------------------------------------------------===//
@@ -327,6 +465,51 @@ TEST_F(PairTableTest, NoisePairsMustOutvoteResidents) {
   EXPECT_TRUE(Memory.l1().contains(0x5000));
   // The noise successor sits below the issue threshold: never fetched.
   EXPECT_FALSE(Memory.l1().contains(0x6000));
+}
+
+TEST(PairTableNestedFillTest, NestedPredictSharesTheCandidateBuffer) {
+  // issue() can drain a due prefetch whose fill chains into predict()
+  // while an outer predict() is still walking its candidates.  The two
+  // calls share one candidate buffer, and the outer call keeps its own
+  // count: after the nested call it issues whatever the nested call left
+  // in each slot.  The committed references encode exactly this order,
+  // so it is pinned here; a per-call list would issue C where R is.
+  PairTableConfig Config;
+  Config.Sets = 1; // every pair in one set: candidate way indices agree
+  Config.Ways = 16;
+  Config.Degree = 3;
+  PairTablePrefetcher Pair(Config, /*AssignedTag=*/0);
+  memsim::MemoryHierarchy Memory;
+  auto Miss = [&](memsim::Addr Addr) { Pair.onMiss(miss(Addr), Memory); };
+
+  const memsim::Addr A = 0x1000, B = 0x2000, C = 0x3000, D = 0x4000;
+  const memsim::Addr P = 0x5000, Q = 0x6000, R = 0x7000;
+  // A -> {B, C, D} and P -> {Q, R}, every pair at confidence 3.
+  for (int Round = 0; Round < 3; ++Round)
+    for (memsim::Addr Addr : {A, B, A, C, A, D})
+      Miss(Addr);
+  for (int Round = 0; Round < 3; ++Round)
+    for (memsim::Addr Addr : {P, Q, P, R})
+      Miss(Addr);
+
+  // A prefetch of P comes due exactly while A's miss issues B.
+  Memory.reset();
+  FillRecorder Fills;
+  Fills.ForwardTo = &Pair;
+  Memory.setListener(&Fills);
+  Memory.prefetchT0(P, /*ChargeIssueSlot=*/false, /*StreamTag=*/0);
+  Memory.access(0x100000); // a demand miss advances the clock past P
+  const uint64_t Before = Pair.issued();
+  Miss(A);
+  EXPECT_EQ(Pair.issued() - Before, 4u);
+
+  // Queue order is issue order: the nested fill of P queues Q before the
+  // outer issue of B lands; then the outer call reads R (the nested
+  // call's second candidate) and D (its own stale third slot).
+  Fills.ForwardTo = nullptr;
+  Memory.tick(1000);
+  EXPECT_EQ(Fills.Fills, (std::vector<memsim::Addr>{P, Q, B, R, D}));
+  Memory.setListener(nullptr);
 }
 
 //===----------------------------------------------------------------------===//

@@ -15,6 +15,7 @@
 //     --jobs N              worker threads (default: hardware concurrency)
 //     --scale F             iteration scale factor (default 1.0)
 //     --seeds N             add layout-seed variants 1..N of every cell
+//                           (N <= 1000)
 //     --filter key=value    narrow the matrix (workload=mcf, mode=dynpref,
 //                           seed=3, shard=0/3); repeatable, filters AND
 //                           together, shard= applies last
@@ -60,6 +61,11 @@
 using namespace hds;
 
 namespace {
+
+/// Most layout-seed variants --seeds may add: 90 cells x 1001 layouts is
+/// already far past any sweep worth running, and the bound keeps a typo
+/// from allocating specs until memory runs out.
+constexpr uint64_t MaxSeeds = 1000;
 
 struct Options {
   unsigned Jobs = 0; // 0 = hardware concurrency
@@ -113,6 +119,12 @@ Options parseOptions(int Argc, char **Argv) {
       .nonNegativeDouble("--threshold", Opts.ThresholdPct)
       .nonNegativeDouble("--wall-threshold", Opts.WallThresholdPct);
   Set.parse(Argc, Argv);
+  if (Opts.Seeds > MaxSeeds) {
+    std::fprintf(stderr, "error: --seeds %llu exceeds the limit of %llu\n",
+                 static_cast<unsigned long long>(Opts.Seeds),
+                 static_cast<unsigned long long>(MaxSeeds));
+    std::exit(2);
+  }
   if (!Opts.MergePaths.empty() && !Opts.DiffA.empty()) {
     std::fprintf(stderr, "error: --merge excludes --diff\n");
     std::exit(2);
