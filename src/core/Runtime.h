@@ -263,13 +263,16 @@ private:
     uint32_t CodeVersionAtEntry;
   };
 
-  /// Shared load/store path.  Lives in the header: one simulated access
-  /// is a few dozen instructions end to end, so the call boundary would
-  /// dominate (the workload loop, this dispatcher, and the hierarchy /
-  /// cache lookups all inline into one straight-line block; static
-  /// libraries without LTO get no cross-TU inlining otherwise).  The
-  /// instrumented-mode tail — tracing cost, Sequitur feed, prefix
-  /// matching — stays out of line; Original mode never reaches it.
+  /// Shared load/store path.  Lives in the header so the demand path of
+  /// the hierarchy inlines into it: MemoryHierarchy::access,
+  /// Cache::access and Cache::fillMiss are forced inline, because static
+  /// libraries without LTO get no cross-TU inlining and, left to itself,
+  /// the compiler kept the hierarchy out of line.  This dispatcher is
+  /// left to the compiler, which emits it out of line in most workload
+  /// translation units; forcing it into every workload loop measured
+  /// slower (docs/benchmarks.md, "Demand path").  The instrumented-mode
+  /// tail — tracing cost, Sequitur feed, prefix matching — stays out of
+  /// line; Original mode never reaches it.
   void access(vulcan::SiteId Site, memsim::Addr Addr, bool IsStore) {
     if (Observer)
       bufferAccess(Site, Addr, IsStore);

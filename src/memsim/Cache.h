@@ -37,6 +37,12 @@
 /// (read only on the rare classification events) in a cold side array.
 /// Address-to-set geometry is shift/mask for power-of-two configurations
 /// (every real configuration in the tree) with a div/mod fallback.
+///
+/// The demand path scans a set once per access: access() exits early on
+/// the hit way and, on a miss, hands back the set, the encoded tag and
+/// the victim way it found on the way (MissSlot), and fillMiss() writes
+/// the block there.  Both are forced inline into the hierarchy's access;
+/// the rare untouched-prefetch eviction is an out-of-line member.
 /// src/testing/ReferenceCache.h keeps the straightforward
 /// array-of-line-structs model this replaced; tests/cache_model_test.cpp
 /// drives both in lockstep.
@@ -150,6 +156,25 @@ public:
     Addr EvictedBlockAddr = 0;
   };
 
+  /// Where a block that missed will go: the probed set, the block's
+  /// encoded tag and the set's first-wins LRU victim way, as found by the
+  /// one scan of access().  fillMiss() places the block there without
+  /// scanning the set again.
+  ///
+  /// Contract: a slot stays valid only while nothing changes its set.
+  /// Between access() returning it and fillMiss() consuming it, the set
+  /// must see no fill, access or touch of this cache (reads such as
+  /// contains() are fine; other sets and other caches are unaffected).
+  /// MemoryHierarchy::access keeps the contract by construction: the only
+  /// call between its probe and its fill is the listener's
+  /// onPrefetchUseful, which observes only.  slotValid() checks it, and
+  /// fillMiss() asserts it in debug builds.
+  struct MissSlot {
+    uint64_t Base = 0; ///< the set's first tag slot in Lines
+    Addr Tag = 0;      ///< encoded tag of the missing block
+    unsigned Way = 0;  ///< first-wins LRU victim way
+  };
+
   explicit Cache(const CacheConfig &Config);
 
   /// Looks up \p Address without changing any state.
@@ -160,27 +185,58 @@ public:
   /// Demand access: returns true on hit (and updates LRU + prefetch
   /// accounting).  On miss, no fill happens here — the hierarchy decides
   /// where fills go.  When \p Info is non-null it receives the prefetch
-  /// classification detail for this access.
-  bool access(Addr Address, AccessInfo *Info = nullptr) {
+  /// classification detail for this access; when \p Slot is non-null a
+  /// miss stores where the block would go (see MissSlot).
+  ///
+  /// One scan of the set with early exit on the hit way; the victim
+  /// argmin rides along (first invalid way, else lowest stamp: invalid
+  /// ways hold recency 0 and win before any valid one).  Forced inline:
+  /// this is the per-access hot path of MemoryHierarchy::access.
+  [[gnu::always_inline]] bool access(Addr Address, AccessInfo *Info = nullptr,
+                                     MissSlot *Slot = nullptr) {
     const uint64_t Base = setBase(Address);
-    const unsigned Way = findWay(Base, encodeTag(Address));
-    if (Way == NoWay) {
-      ++Stats.Misses;
-      return false;
-    }
-    ++Stats.Hits;
-    uint64_t &Recency = Lines[Base + Config.Associativity + Way];
-    const bool Prefetched = (Recency & 1) != 0;
-    Recency = ++UseClock << 1; // fresh stamp, prefetched bit consumed
-    if (Prefetched) {
-      ++Stats.UsefulPrefetches;
-      if (Info) {
-        Info->PrefetchHit = true;
-        Info->StreamTag = StreamTags[Base / 2 + Way];
+    const Addr Tag = encodeTag(Address);
+    const unsigned A = Config.Associativity;
+    unsigned Victim = 0;
+    uint64_t Oldest = Lines[Base + A];
+    for (unsigned Way = 0; Way < A; ++Way) {
+      if (Lines[Base + Way] == Tag) {
+        ++Stats.Hits;
+        uint64_t &Recency = Lines[Base + A + Way];
+        const bool Prefetched = (Recency & 1) != 0;
+        Recency = ++UseClock << 1; // fresh stamp, prefetched bit consumed
+        if (Prefetched) [[unlikely]] {
+          ++Stats.UsefulPrefetches;
+          if (Info) {
+            Info->PrefetchHit = true;
+            Info->StreamTag = StreamTags[Base / 2 + Way];
+          }
+        }
+        return true;
       }
+      const uint64_t Recency = Lines[Base + A + Way];
+      const bool Older = Recency < Oldest;
+      Oldest = Older ? Recency : Oldest;
+      Victim = Older ? Way : Victim;
     }
-    return true;
+    ++Stats.Misses;
+    if (Slot)
+      *Slot = MissSlot{Base, Tag, Victim};
+    return false;
   }
+
+  /// Demand fill of a block that access() just missed, into the slot
+  /// that access() returned — no second scan.  Same effect as
+  /// fill(Address, /*IsPrefetch=*/false) on the missing block.
+  [[gnu::always_inline]] EvictInfo fillMiss(const MissSlot &Slot) {
+    assert(slotValid(Slot) && "MissSlot used after its set changed");
+    return place(Slot.Base, Slot.Way, Slot.Tag, /*IsPrefetch=*/false,
+                 obs::NoStreamTag);
+  }
+
+  /// Whether \p Slot still describes its set: the set does not hold the
+  /// slot's tag, and the slot's way is still the first-wins LRU victim.
+  bool slotValid(const MissSlot &Slot) const;
 
   /// Probe-and-touch for prefetch redundancy checks: on a hit this is
   /// exactly access() (hit counted, LRU refreshed, prefetched bit
@@ -203,66 +259,11 @@ public:
   /// \p IsPrefetch marks the line for useful/wasted prefetch accounting;
   /// \p StreamTag records which hot data stream issued the prefetch.
   /// Returns eviction classification detail for the victim line.
+  /// Refilling a resident block only refreshes its recency.  The
+  /// hierarchy's demand path uses access() + fillMiss() instead; this is
+  /// the prefetch drain's fill.
   EvictInfo fill(Addr Address, bool IsPrefetch,
-                 uint32_t StreamTag = obs::NoStreamTag) {
-    const uint64_t Base = setBase(Address);
-    const Addr Tag = encodeTag(Address);
-    const unsigned A = Config.Associativity;
-
-    // One pass finds the resident way and the LRU victim together: the
-    // first-wins argmin over the recency words is the victim policy
-    // (invalid ways hold 0 and therefore win before any valid way, and
-    // unique stamps make the shifted comparison order exact).
-    unsigned Hit = NoWay;
-    unsigned Victim = 0;
-    uint64_t Oldest = Lines[Base + A];
-    for (unsigned Way = 0; Way < A; ++Way) {
-      if (Lines[Base + Way] == Tag)
-        Hit = Way;
-      const uint64_t Recency = Lines[Base + A + Way];
-      const bool Older = Recency < Oldest;
-      Oldest = Older ? Recency : Oldest;
-      Victim = Older ? Way : Victim;
-    }
-
-    if (Hit != NoWay) {
-      // Refilling a resident block just refreshes recency; it must not
-      // re-arm the prefetch bit on a demand-touched line (nor clear it
-      // on a still-untouched one).
-      uint64_t &Recency = Lines[Base + A + Hit];
-      Recency = (++UseClock << 1) | (Recency & 1);
-      return EvictInfo();
-    }
-
-    EvictInfo Evicted;
-    uint64_t &VictimRecency = Lines[Base + A + Victim];
-    if (VictimRecency != 0) {
-      ++Stats.Evictions;
-      if (VictimRecency & 1) {
-        ++Stats.WastedPrefetches;
-        Evicted.EvictedUntouchedPrefetch = true;
-        Evicted.EvictedStreamTag = StreamTags[Base / 2 + Victim];
-        // Rebuild the victim's block address from its stored tag and the
-        // set index (rare path: only untouched-prefetch evictions).
-        const uint64_t Set = Base / (2 * A);
-        const uint64_t VictimTag = Lines[Base + Victim] >> 1;
-        const uint64_t VictimBlock = ShiftGeometry
-                                         ? (VictimTag << SetShift) | Set
-                                         : VictimTag * NumSets + Set;
-        Evicted.EvictedBlockAddr = VictimBlock * Config.BlockBytes;
-      }
-    }
-
-    Lines[Base + Victim] = Tag;
-    VictimRecency = (++UseClock << 1) | (IsPrefetch ? 1 : 0);
-    if (IsPrefetch) {
-      StreamTags[Base / 2 + Victim] = StreamTag;
-      ++Stats.PrefetchFills;
-    } else {
-      ++Stats.DemandFills;
-    }
-    return Evicted;
-  }
+                 uint32_t StreamTag = obs::NoStreamTag);
 
   /// Drops all lines (used between benchmark configurations).
   void reset();
@@ -298,6 +299,35 @@ private:
     const uint64_t Block = blockOf(Address);
     return ((ShiftGeometry ? Block >> SetShift : Block / NumSets) << 1) | 1;
   }
+
+  /// Writes encoded tag \p Tag into way \p Way of the set at \p Base,
+  /// evicting what the way held: the shared tail of fill() and
+  /// fillMiss().
+  [[gnu::always_inline]] EvictInfo place(uint64_t Base, unsigned Way,
+                                         Addr Tag, bool IsPrefetch,
+                                         uint32_t StreamTag) {
+    uint64_t &Recency = Lines[Base + Config.Associativity + Way];
+    EvictInfo Evicted;
+    if (Recency != 0) {
+      ++Stats.Evictions;
+      if (Recency & 1) [[unlikely]]
+        Evicted = evictUntouched(Base, Way);
+    }
+    Lines[Base + Way] = Tag;
+    Recency = (++UseClock << 1) | (IsPrefetch ? 1 : 0);
+    if (IsPrefetch) {
+      StreamTags[Base / 2 + Way] = StreamTag;
+      ++Stats.PrefetchFills;
+    } else {
+      ++Stats.DemandFills;
+    }
+    return Evicted;
+  }
+
+  /// Books the eviction of an untouched prefetched line at \p Way of the
+  /// set at \p Base (a wasted prefetch) and rebuilds its block address
+  /// from the stored tag.  Rare; kept out of line.
+  EvictInfo evictUntouched(uint64_t Base, unsigned Way);
 
   /// Way index within the set at \p Base holding encoded tag \p Tag, or
   /// NoWay.

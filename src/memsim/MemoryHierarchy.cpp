@@ -20,6 +20,39 @@ MemoryHierarchy::MemoryHierarchy(const CacheConfig &L1Config,
   InFlightMeta.reserve(Latency.MaxInFlightPrefetches);
 }
 
+void MemoryHierarchy::recordUseful(Addr Address, uint32_t StreamTag) {
+  ++Stats.PrefetchesUseful;
+  ++bucket(StreamTag).Useful;
+  if (Listener)
+    Listener->onPrefetchUseful(Address, StreamTag);
+}
+
+uint64_t MemoryHierarchy::waitForInFlight(Addr Address, size_t P) {
+  // This is how an early-but-not-early-enough prefetch still hides part
+  // of a miss.
+  const uint64_t Remaining = InFlightReady[P] - Account.total();
+  ++Stats.PartialHits;
+  ++bucket(inFlightTag(P)).Late;
+  if (Listener)
+    Listener->onPrefetchLate(Address, inFlightTag(P));
+  charge(Remaining, Remaining, /*PartialHit=*/true);
+  drainDuePrefetches(); // fills this block (and any other due ones)
+  // The arriving line counts as a useful prefetch in the cache-level
+  // stats the moment demand touches it; hierarchy-level classification
+  // already recorded the event as late.
+  L1.access(Address);
+  charge(Latency.L1HitCycles, 0);
+  return Remaining + Latency.L1HitCycles;
+}
+
+void MemoryHierarchy::recordEviction(Cache::EvictInfo Evicted) {
+  ++Stats.PrefetchesUnusedEvicted;
+  ++bucket(Evicted.EvictedStreamTag).UnusedEvicted;
+  if (Listener)
+    Listener->onPrefetchEvicted(Evicted.EvictedBlockAddr,
+                                Evicted.EvictedStreamTag);
+}
+
 void MemoryHierarchy::drainDuePrefetchesSlow() {
   // One pass fills due entries, compacts the survivors in place, and
   // tracks the new earliest ready cycle.  Fills happen in queue order,

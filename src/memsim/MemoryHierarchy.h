@@ -119,6 +119,8 @@ class MemoryHierarchy;
 /// completed fills), never on the pure-hit fast path.  Only
 /// onPrefetchFill may issue follow-up prefetches — it is delivered after
 /// the in-flight queue has been compacted; the others observe only.
+/// MemoryHierarchy::access relies on that: onPrefetchUseful runs between
+/// the L1 probe and the L1 fill into the slot that probe found.
 class PrefetchListener {
 public:
   virtual ~PrefetchListener() = default;
@@ -163,69 +165,50 @@ public:
   /// paper's data reference definition does).  Returns the latency in
   /// cycles charged for this access; the clock has already advanced.
   ///
-  /// Lives in the header: this is the per-access hot loop, and the call
-  /// runs tens of millions of times per matrix cell (the tree builds
-  /// static libraries without LTO, so out-of-line would cost a call and
-  /// forgo inlining into Runtime::access).
-  uint64_t access(Addr Address) {
+  /// This is the per-access hot loop (tens of millions of calls per
+  /// matrix cell), so it is forced inline together with Cache::access and
+  /// Cache::fillMiss: the tree builds static libraries without LTO, and
+  /// left to itself the compiler emitted it out of line in every
+  /// workload.  Each level is probed once; a miss fills straight into the
+  /// victim way that probe found (Cache::MissSlot).  The rare paths —
+  /// useful-prefetch classification, the partial-hit wait and
+  /// untouched-prefetch eviction — are out-of-line members.
+  [[gnu::always_inline]] uint64_t access(Addr Address) {
     drainDuePrefetches();
     ++Stats.DemandAccesses;
 
     // L1 hit: single-cycle, no stall.  A hit on a prefetched-untouched
     // line is the prefetch paying off in full — the "useful" class.
     Cache::AccessInfo L1Info;
-    if (L1.access(Address, &L1Info)) {
-      if (L1Info.PrefetchHit) {
-        ++Stats.PrefetchesUseful;
-        ++bucket(L1Info.StreamTag).Useful;
-        if (Listener)
-          Listener->onPrefetchUseful(Address, L1Info.StreamTag);
-      }
+    Cache::MissSlot L1Slot;
+    if (L1.access(Address, &L1Info, &L1Slot)) {
+      if (L1Info.PrefetchHit) [[unlikely]]
+        recordUseful(Address, L1Info.StreamTag);
       charge(Latency.L1HitCycles, 0);
       return Latency.L1HitCycles;
     }
 
     // The block may still be on its way in: wait out the remaining
-    // latency.  This is how an early-but-not-early-enough prefetch still
-    // hides part of a miss — the "late" class.
-    if (size_t P = findInFlight(Address); P != NotInFlight) {
-      const uint64_t Remaining = InFlightReady[P] - Account.total();
-      ++Stats.PartialHits;
-      ++bucket(inFlightTag(P)).Late;
-      if (Listener)
-        Listener->onPrefetchLate(Address, inFlightTag(P));
-      charge(Remaining, Remaining, /*PartialHit=*/true);
-      drainDuePrefetches(); // fills this block (and any other due ones)
-      // The arriving line counts as a useful prefetch in the cache-level
-      // stats the moment demand touches it; hierarchy-level
-      // classification already recorded the event as late.
-      L1.access(Address);
-      charge(Latency.L1HitCycles, 0);
-      return Remaining + Latency.L1HitCycles;
-    }
+    // latency (the "late" class).
+    if (size_t P = findInFlight(Address); P != NotInFlight) [[unlikely]]
+      return waitForInFlight(Address, P);
 
     // L2 hit: fill L1 and pay the L2 latency.  A prefetched-untouched L2
     // line is likewise a useful prefetch (it halved the miss latency).
+    // recordUseful only observes, so L1Slot is still valid for the fill.
     Cache::AccessInfo L2Info;
-    if (L2.access(Address, &L2Info)) {
-      if (L2Info.PrefetchHit) {
-        ++Stats.PrefetchesUseful;
-        ++bucket(L2Info.StreamTag).Useful;
-        if (Listener)
-          Listener->onPrefetchUseful(Address, L2Info.StreamTag);
-      }
-      const Cache::EvictInfo Evicted = L1.fill(Address, /*IsPrefetch=*/false);
-      if (Evicted.EvictedUntouchedPrefetch)
-        recordEviction(Evicted);
+    Cache::MissSlot L2Slot;
+    if (L2.access(Address, &L2Info, &L2Slot)) {
+      if (L2Info.PrefetchHit) [[unlikely]]
+        recordUseful(Address, L2Info.StreamTag);
+      fillL1(L1Slot);
       charge(Latency.L2HitCycles, Latency.L2HitCycles - Latency.L1HitCycles);
       return Latency.L2HitCycles;
     }
 
     // Memory: fill both levels.
-    L2.fill(Address, /*IsPrefetch=*/false);
-    const Cache::EvictInfo Evicted = L1.fill(Address, /*IsPrefetch=*/false);
-    if (Evicted.EvictedUntouchedPrefetch)
-      recordEviction(Evicted);
+    L2.fillMiss(L2Slot);
+    fillL1(L1Slot);
     charge(Latency.MemoryCycles, Latency.MemoryCycles - Latency.L1HitCycles);
     return Latency.MemoryCycles;
   }
@@ -296,15 +279,32 @@ private:
                                      : obs::CyclePhase::DemandStall);
   }
 
-  /// Books one untouched-prefetch eviction: counters, per-stream bucket,
-  /// and the listener's pollution feedback.
-  void recordEviction(const Cache::EvictInfo &Evicted) {
-    ++Stats.PrefetchesUnusedEvicted;
-    ++bucket(Evicted.EvictedStreamTag).UnusedEvicted;
-    if (Listener)
-      Listener->onPrefetchEvicted(Evicted.EvictedBlockAddr,
-                                  Evicted.EvictedStreamTag);
+  /// Demand fill of L1 into the slot its probe found; an evicted
+  /// untouched prefetch is booked out of line.
+  [[gnu::always_inline]] void fillL1(const Cache::MissSlot &Slot) {
+    const Cache::EvictInfo Evicted = L1.fillMiss(Slot);
+    if (Evicted.EvictedUntouchedPrefetch) [[unlikely]]
+      recordEviction(Evicted);
   }
+
+  /// Books one demand hit on a prefetched-untouched line (the "useful"
+  /// class): counter, per-stream bucket, and the listener.
+  void recordUseful(Addr Address, uint32_t StreamTag);
+
+  /// The partial-hit path of access(): the block of \p Address is in
+  /// flight at queue index \p P.  Books the late prefetch, waits out the
+  /// rest of its latency, lets it fill and touches it.  Returns the
+  /// access latency.
+  uint64_t waitForInFlight(Addr Address, size_t P);
+
+  /// Books one untouched-prefetch eviction: counters, per-stream bucket,
+  /// and the listener's pollution feedback.  The rarest of the three
+  /// rare paths (at most 13% of the accesses of any matrix cell, against
+  /// 45% for useful and 41% for partial hits), and the only one marked
+  /// cold.  Which members carry the attribute moves perfbench's host
+  /// probe in 16-byte steps; see docs/benchmarks.md, "Host-probe
+  /// alignment".
+  [[gnu::cold]] void recordEviction(Cache::EvictInfo Evicted);
 
   /// Classification bucket for \p StreamTag (grown on demand).
   obs::PrefetchClassCounts &bucket(uint32_t StreamTag) {

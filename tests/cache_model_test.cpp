@@ -73,7 +73,7 @@ void runLockstep(const CacheConfig &Config, uint64_t Seed,
     const uint64_t Stride = Strides[Ops.nextBelow(4)];
     const Addr Address = uint64_t{Symbol} * Stride + Ops.nextBelow(4);
 
-    switch (Ops.nextBelow(6)) {
+    switch (Ops.nextBelow(7)) {
     case 0: { // pure probe
       EXPECT_EQ(Packed.contains(Address), Reference.contains(Address))
           << Where << " step " << Step;
@@ -97,7 +97,8 @@ void runLockstep(const CacheConfig &Config, uint64_t Seed,
           << Where << " step " << Step;
       break;
     }
-    default: { // fill (demand or prefetch, tagged or not)
+    case 4:
+    case 5: { // fill (demand or prefetch, tagged or not)
       const bool IsPrefetch = Ops.nextBelow(2) == 0;
       const uint32_t Tag = IsPrefetch
                                ? static_cast<uint32_t>(Ops.nextBelow(7))
@@ -110,6 +111,33 @@ void runLockstep(const CacheConfig &Config, uint64_t Seed,
           << Where << " step " << Step;
       EXPECT_EQ(EvictA.EvictedStreamTag, EvictB.EvictedStreamTag)
           << Where << " step " << Step;
+      EXPECT_EQ(EvictA.EvictedBlockAddr, EvictB.EvictedBlockAddr)
+          << Where << " step " << Step;
+      break;
+    }
+    default: { // the hierarchy's demand path: probe, then fill the slot
+      Cache::AccessInfo InfoA, InfoB;
+      Cache::MissSlot Slot;
+      const bool HitA = Packed.access(Address, &InfoA, &Slot);
+      EXPECT_EQ(HitA, Reference.access(Address, &InfoB))
+          << Where << " step " << Step;
+      EXPECT_EQ(InfoA.PrefetchHit, InfoB.PrefetchHit)
+          << Where << " step " << Step;
+      EXPECT_EQ(InfoA.StreamTag, InfoB.StreamTag)
+          << Where << " step " << Step;
+      if (HitA)
+        break;
+      EXPECT_TRUE(Packed.slotValid(Slot)) << Where << " step " << Step;
+      const Cache::EvictInfo EvictA = Packed.fillMiss(Slot);
+      const Cache::EvictInfo EvictB = Reference.fill(Address, false);
+      EXPECT_EQ(EvictA.EvictedUntouchedPrefetch,
+                EvictB.EvictedUntouchedPrefetch)
+          << Where << " step " << Step;
+      EXPECT_EQ(EvictA.EvictedStreamTag, EvictB.EvictedStreamTag)
+          << Where << " step " << Step;
+      EXPECT_EQ(EvictA.EvictedBlockAddr, EvictB.EvictedBlockAddr)
+          << Where << " step " << Step;
+      EXPECT_TRUE(Packed.contains(Address)) << Where << " step " << Step;
       break;
     }
     }
@@ -170,6 +198,52 @@ TEST(CacheModelDifferential, LockstepAcrossGeometriesAndSeeds) {
       if (::testing::Test::HasFailure())
         return;
     }
+}
+
+TEST(CacheModelDifferential, MissSlotGoesStaleWhenItsSetChanges) {
+  // The slot access() returns on a miss stays valid only while its set
+  // is unchanged (Cache::MissSlot); slotValid() is the check fillMiss()
+  // asserts.
+  const CacheConfig Config{1024, 4, 32}; // 8 sets
+  const Addr SetSpan = uint64_t{Config.BlockBytes} * Config.numSets();
+  Cache Packed(Config);
+  Cache::MissSlot Slot;
+
+  // Empty set: the victim is way 0; touching another set or only
+  // reading leaves the slot valid.
+  ASSERT_FALSE(Packed.access(0, nullptr, &Slot));
+  EXPECT_EQ(Slot.Way, 0u);
+  EXPECT_TRUE(Packed.slotValid(Slot));
+  Packed.fill(Config.BlockBytes, /*IsPrefetch=*/false); // the next set
+  EXPECT_FALSE(Packed.contains(0));
+  EXPECT_TRUE(Packed.slotValid(Slot));
+
+  // A fill into the same set takes way 0, so the victim moves.
+  Packed.fill(SetSpan, /*IsPrefetch=*/false);
+  EXPECT_FALSE(Packed.slotValid(Slot));
+
+  // Filling the slot's own block makes it resident: stale as well.
+  ASSERT_FALSE(Packed.access(0, nullptr, &Slot));
+  EXPECT_EQ(Slot.Way, 1u);
+  Packed.fill(0, /*IsPrefetch=*/false);
+  EXPECT_FALSE(Packed.slotValid(Slot));
+
+  // Full set: a hit on the LRU line moves the victim to the next way.
+  Packed.fill(2 * SetSpan, /*IsPrefetch=*/false);
+  Packed.fill(3 * SetSpan, /*IsPrefetch=*/false);
+  ASSERT_FALSE(Packed.access(4 * SetSpan, nullptr, &Slot));
+  EXPECT_EQ(Slot.Way, 0u); // SetSpan, filled first
+  EXPECT_TRUE(Packed.slotValid(Slot));
+  ASSERT_TRUE(Packed.access(SetSpan));
+  EXPECT_FALSE(Packed.slotValid(Slot));
+
+  // A fresh slot fills where it says and evicts that way's block.
+  ASSERT_FALSE(Packed.access(4 * SetSpan, nullptr, &Slot));
+  EXPECT_EQ(Slot.Way, 1u); // block 0
+  Packed.fillMiss(Slot);
+  EXPECT_TRUE(Packed.contains(4 * SetSpan));
+  EXPECT_FALSE(Packed.contains(0));
+  EXPECT_TRUE(Packed.contains(SetSpan));
 }
 
 TEST(CacheModelDifferential, BlockOfMatchesDivision) {

@@ -12,6 +12,9 @@
 
 #include <gtest/gtest.h>
 #include <ostream>
+#include <sstream>
+#include <string>
+#include <vector>
 
 using namespace hds::memsim;
 namespace obs = hds::obs;
@@ -329,6 +332,96 @@ TEST(PrefetchClassTest, CycleAccountPartitionsTheHierarchyClock) {
   EXPECT_EQ(B.DynamicCheck, 5u);
   EXPECT_EQ(B.PrefetchIssue, 1u);
   EXPECT_EQ(B.PureCompute, 31u);
+}
+
+/// Logs every listener callback as "<event> <address> <stream tag>".
+class CallbackLog : public PrefetchListener {
+public:
+  std::vector<std::string> Events;
+
+  void onPrefetchFill(Addr BlockAddr, uint32_t StreamTag,
+                      MemoryHierarchy &) override {
+    log("fill", BlockAddr, StreamTag);
+  }
+  void onPrefetchUseful(Addr Address, uint32_t StreamTag) override {
+    log("useful", Address, StreamTag);
+  }
+  void onPrefetchLate(Addr Address, uint32_t StreamTag) override {
+    log("late", Address, StreamTag);
+  }
+  void onPrefetchEvicted(Addr BlockAddr, uint32_t StreamTag) override {
+    log("evicted", BlockAddr, StreamTag);
+  }
+
+private:
+  void log(const char *Event, Addr Address, uint32_t StreamTag) {
+    std::ostringstream Line;
+    Line << Event << " 0x" << std::hex << Address << std::dec << " "
+         << StreamTag;
+    Events.push_back(Line.str());
+  }
+};
+
+TEST(PrefetchClassTest, DemandPathColdPathsReportInOrder) {
+  // Every out-of-line branch of MemoryHierarchy::access in one run: L1
+  // and L2 prefetch-useful hits, an untouched-prefetch eviction and a
+  // partial hit.  Tiny 2-way L1 (4 sets); every address maps to set 0.
+  MemoryHierarchy M(CacheConfig{256, 2, 32}, CacheConfig::pentiumIIIL2(),
+                    testLatency());
+  CallbackLog Log;
+  M.setListener(&Log);
+
+  M.prefetchT0(0x0, /*ChargeIssueSlot=*/true, /*StreamTag=*/3);
+  M.tick(200);
+  EXPECT_EQ(M.access(0x0), 1u); // L1 hit on the untouched prefetch
+
+  M.prefetchT0(0x400, /*ChargeIssueSlot=*/true, /*StreamTag=*/4);
+  M.tick(200);
+  EXPECT_EQ(M.access(0x480), 100u); // evicts 0x0 (demand-touched)
+  EXPECT_EQ(M.access(0x500), 100u); // evicts 0x400, untouched
+  EXPECT_EQ(M.access(0x400), 14u);  // L2 hit on the untouched prefetch
+
+  M.prefetchT0(0x2000, /*ChargeIssueSlot=*/true, /*StreamTag=*/5);
+  M.tick(40);
+  EXPECT_EQ(M.access(0x2000), 61u); // waits out 60 of its 100 cycles
+  M.setListener(nullptr);
+
+  const std::vector<std::string> Expected = {
+      "fill 0x0 3",       "useful 0x0 3",   "fill 0x400 4",
+      "evicted 0x400 4",  "useful 0x400 4", "late 0x2000 5",
+      "fill 0x2000 5"};
+  EXPECT_EQ(Log.Events, Expected);
+
+  const HierarchyStats H = M.stats();
+  EXPECT_EQ(H.DemandAccesses, 5u);
+  EXPECT_EQ(H.PrefetchesIssued, 3u);
+  EXPECT_EQ(H.PrefetchesUseful, 2u);
+  EXPECT_EQ(H.PartialHits, 1u);
+  EXPECT_EQ(H.PartialHitStallCycles, 60u);
+  EXPECT_EQ(H.PrefetchesUnusedEvicted, 1u);
+  ASSERT_EQ(M.streamClasses().size(), 6u);
+  EXPECT_EQ(M.streamClasses()[3].Useful, 1u);
+  EXPECT_EQ(M.streamClasses()[4].Useful, 1u);
+  EXPECT_EQ(M.streamClasses()[4].UnusedEvicted, 1u);
+  EXPECT_EQ(M.streamClasses()[5].Late, 1u);
+  EXPECT_EQ(M.streamClasses()[5].Useful, 0u);
+
+  const CacheStats &L1 = M.l1().stats();
+  EXPECT_EQ(L1.Hits, 2u); // 0x0, and 0x2000 once it arrived
+  EXPECT_EQ(L1.Misses, 4u);
+  EXPECT_EQ(L1.DemandFills, 3u);
+  EXPECT_EQ(L1.PrefetchFills, 3u);
+  EXPECT_EQ(L1.Evictions, 4u);
+  EXPECT_EQ(L1.UsefulPrefetches, 2u);
+  EXPECT_EQ(L1.WastedPrefetches, 1u);
+  const CacheStats &L2 = M.l2().stats();
+  EXPECT_EQ(L2.Hits, 1u);
+  EXPECT_EQ(L2.Misses, 2u);
+  EXPECT_EQ(L2.DemandFills, 2u);
+  EXPECT_EQ(L2.PrefetchFills, 3u);
+  EXPECT_EQ(L2.Evictions, 0u);
+  EXPECT_EQ(L2.UsefulPrefetches, 1u);
+  EXPECT_EQ(L2.WastedPrefetches, 0u);
 }
 
 //===----------------------------------------------------------------------===//
