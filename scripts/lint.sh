@@ -41,11 +41,7 @@ cmake -B build -S . >/dev/null
 cmake --build build -j"$JOBS" --target hds_lint
 echo "== hds_lint =="
 LINT_START="$(now_ms)"
-./build/tools/hds_lint \
-  --schema-lock tests/golden/schema.lock \
-  --compile-db build/compile_commands.json \
-  --stale-suppressions \
-  src tools bench tests
+./build/tools/hds_lint --stale-suppressions src tools bench tests
 LINT_END="$(now_ms)"
 echo "hds_lint: clean"
 

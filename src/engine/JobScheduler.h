@@ -79,11 +79,11 @@ private:
   mutable std::mutex Mutex;
   std::condition_variable WorkReady;
   std::condition_variable AllDone;
-  std::deque<std::function<void()>> Queue; // hds-guarded-by(Mutex)
-  std::size_t Pending = 0;  // hds-guarded-by(Mutex) queued + running
-  std::size_t Executed = 0; // hds-guarded-by(Mutex)
-  std::size_t Dropped = 0;  // hds-guarded-by(Mutex)
-  bool ShuttingDown = false; // hds-guarded-by(Mutex)
+  std::deque<std::function<void()>> Queue; // guarded by Mutex
+  std::size_t Pending = 0;  // guarded by Mutex; queued + running
+  std::size_t Executed = 0; // guarded by Mutex
+  std::size_t Dropped = 0;  // guarded by Mutex
+  bool ShuttingDown = false; // guarded by Mutex
   /// Declared last: destroyed (and therefore joined) first, while the
   /// mutex and condition variables above are still alive.
   std::vector<std::jthread> Workers;

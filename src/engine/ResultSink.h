@@ -51,10 +51,10 @@ public:
 
 private:
   mutable std::mutex Mutex;
-  std::vector<RunResult> Results;  // hds-guarded-by(Mutex)
-  std::vector<bool> Filled;        // hds-guarded-by(Mutex)
-  std::size_t Completed = 0;       // hds-guarded-by(Mutex)
-  std::function<void(std::size_t, const RunResult &)> Callback; // hds-guarded-by(Mutex)
+  std::vector<RunResult> Results;  // guarded by Mutex
+  std::vector<bool> Filled;        // guarded by Mutex
+  std::size_t Completed = 0;       // guarded by Mutex
+  std::function<void(std::size_t, const RunResult &)> Callback; // guarded by Mutex
 };
 
 } // namespace engine

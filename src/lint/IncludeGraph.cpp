@@ -6,46 +6,26 @@
 
 #include "lint/IncludeGraph.h"
 
+#include "lint/TokenUtil.h"
+
 #include <set>
 
 namespace hds {
 namespace lint {
 
-namespace {
-
-bool startsWith(std::string_view S, std::string_view Prefix) {
-  return S.compare(0, Prefix.size(), Prefix) == 0;
-}
-
-bool endsWith(std::string_view S, std::string_view Suffix) {
-  return S.size() >= Suffix.size() &&
-         S.compare(S.size() - Suffix.size(), Suffix.size(), Suffix) == 0;
-}
-
-std::vector<std::string> includesDelimited(const LexedFile &File, char Open,
-                                           char Close) {
+std::vector<std::string> quotedIncludes(const LexedFile &File) {
   std::vector<std::string> Out;
   for (const Directive &D : File.Directives) {
     if (!startsWith(D.Text, "include"))
       continue;
-    size_t B = D.Text.find(Open);
+    size_t B = D.Text.find('"');
     if (B == std::string::npos)
       continue;
-    size_t E = D.Text.find(Close, B + 1);
+    size_t E = D.Text.find('"', B + 1);
     if (E != std::string::npos)
       Out.push_back(D.Text.substr(B + 1, E - B - 1));
   }
   return Out;
-}
-
-} // namespace
-
-std::vector<std::string> quotedIncludes(const LexedFile &File) {
-  return includesDelimited(File, '"', '"');
-}
-
-std::vector<std::string> angleIncludes(const LexedFile &File) {
-  return includesDelimited(File, '<', '>');
 }
 
 IncludeGraph buildIncludeGraph(const std::vector<LexedFile> &Files) {

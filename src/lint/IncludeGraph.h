@@ -10,8 +10,7 @@
 /// sees display paths, not a real include search path), and the graph
 /// exposes the transitive closure so rules can ask "what is visible from
 /// this translation unit".  D2 uses it to propagate unordered-container
-/// names; the project model reuses the extraction helpers to walk real
-/// standard-library headers on disk.
+/// names.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,9 +28,6 @@ namespace lint {
 
 /// Include paths of \p File written with quotes ("engine/Wire.h").
 std::vector<std::string> quotedIncludes(const LexedFile &File);
-
-/// Include paths of \p File written with angle brackets (<vector>).
-std::vector<std::string> angleIncludes(const LexedFile &File);
 
 /// The include graph over one linted file set.
 struct IncludeGraph {

@@ -7,8 +7,6 @@
 #include "lint/Rules.h"
 
 #include "lint/IncludeGraph.h"
-#include "lint/LockDiscipline.h"
-#include "lint/SchemaLock.h"
 #include "lint/ScopeTracker.h"
 #include "lint/TokenUtil.h"
 
@@ -532,8 +530,60 @@ found:
   return Guard;
 }
 
-void checkH1(const LexedFile &File, const std::vector<HeaderReq> &Table,
-             std::vector<Finding> &Out) {
+/// One H1 requirement: a header using \p Symbol (std-qualified when
+/// \p NeedsStd) must include one of \p Headers itself.  The first header
+/// is the one the fix hint suggests.
+struct HeaderReq {
+  std::string Symbol;
+  bool NeedsStd = false;
+  std::vector<std::string> Headers;
+};
+
+/// The curated symbol→header table.
+const std::vector<HeaderReq> &headerTable() {
+  static const std::vector<HeaderReq> Reqs = {
+      {"vector", true, {"vector"}},
+      {"optional", true, {"optional"}},
+      {"variant", true, {"variant"}},
+      {"expected", true, {"expected"}},
+      {"array", true, {"array"}},
+      {"span", true, {"span"}},
+      {"string", true, {"string"}},
+      {"unordered_map", true, {"unordered_map"}},
+      {"unordered_set", true, {"unordered_set"}},
+      {"map", true, {"map"}},
+      {"set", true, {"set"}},
+      {"deque", true, {"deque"}},
+      {"function", true, {"functional"}},
+      {"pair", true, {"utility", "map", "unordered_map"}},
+      {"unique_ptr", true, {"memory"}},
+      {"shared_ptr", true, {"memory"}},
+      {"make_unique", true, {"memory"}},
+      {"sort", true, {"algorithm"}},
+      {"stable_sort", true, {"algorithm"}},
+      {"lower_bound", true, {"algorithm"}},
+      {"upper_bound", true, {"algorithm"}},
+      {"ostream", true, {"ostream", "iostream", "sstream", "iosfwd"}},
+      {"istream", true, {"istream", "iostream", "sstream", "iosfwd"}},
+      {"uint8_t", false, {"cstdint", "stdint.h"}},
+      {"uint16_t", false, {"cstdint", "stdint.h"}},
+      {"uint32_t", false, {"cstdint", "stdint.h"}},
+      {"uint64_t", false, {"cstdint", "stdint.h"}},
+      {"int8_t", false, {"cstdint", "stdint.h"}},
+      {"int16_t", false, {"cstdint", "stdint.h"}},
+      {"int32_t", false, {"cstdint", "stdint.h"}},
+      {"int64_t", false, {"cstdint", "stdint.h"}},
+      {"uintptr_t", false, {"cstdint", "stdint.h"}},
+      {"size_t", false, {"cstddef", "cstdint", "cstdio", "cstring"}},
+      {"assert", false, {"cassert", "assert.h"}},
+      {"memcpy", false, {"cstring", "string.h"}},
+      {"memset", false, {"cstring", "string.h"}},
+      {"memmove", false, {"cstring", "string.h"}},
+  };
+  return Reqs;
+}
+
+void checkH1(const LexedFile &File, std::vector<Finding> &Out) {
   if (!isHeaderPath(File.Path))
     return;
 
@@ -592,7 +642,7 @@ void checkH1(const LexedFile &File, const std::vector<HeaderReq> &Table,
   for (size_t I = 0; I < T.size(); ++I) {
     if (T[I].K != Token::Ident)
       continue;
-    for (const HeaderReq &Req : Table) {
+    for (const HeaderReq &Req : headerTable()) {
       if (T[I].Text != Req.Symbol || AlreadyFlagged.count(Req.Symbol))
         continue;
       if (Req.NeedsStd &&
@@ -814,11 +864,8 @@ MarkedEnums collectMarkedEnums(const std::vector<LexedFile> &Files) {
       M.Name = E.Name;
       M.OwningClass = E.OwningClass;
       M.Scoped = E.Scoped;
-      for (const auto &[Name, Value] : E.Enumerators) {
-        (void)Value;
-        M.Members.insert(Name);
-        M.Order.push_back(Name);
-      }
+      M.Members.insert(E.Enumerators.begin(), E.Enumerators.end());
+      M.Order = E.Enumerators;
       Marked.push_back(std::move(M));
     }
   return Marked;
@@ -930,74 +977,6 @@ void checkE1(const LexedFile &File, const MarkedEnums &Marked,
 } // namespace
 
 //===----------------------------------------------------------------------===//
-// H1 table plumbing
-//===----------------------------------------------------------------------===//
-
-const std::vector<HeaderReq> &fallbackHeaderTable() {
-  // Curated mapping, kept only as the fallback for builds without a
-  // compile database.  Symbols checked exclusively through the generated
-  // table (optional, variant, expected) are deliberately absent.
-  static const std::vector<HeaderReq> Reqs = {
-      {"vector", true, {"vector"}, false},
-      {"array", true, {"array"}, false},
-      {"span", true, {"span"}, false},
-      {"string", true, {"string"}, false},
-      {"unordered_map", true, {"unordered_map"}, false},
-      {"unordered_set", true, {"unordered_set"}, false},
-      {"map", true, {"map"}, false},
-      {"set", true, {"set"}, false},
-      {"deque", true, {"deque"}, false},
-      {"function", true, {"functional"}, false},
-      {"pair", true, {"utility", "map", "unordered_map"}, false},
-      {"unique_ptr", true, {"memory"}, false},
-      {"shared_ptr", true, {"memory"}, false},
-      {"make_unique", true, {"memory"}, false},
-      {"sort", true, {"algorithm"}, false},
-      {"stable_sort", true, {"algorithm"}, false},
-      {"lower_bound", true, {"algorithm"}, false},
-      {"upper_bound", true, {"algorithm"}, false},
-      {"ostream", true, {"ostream", "iostream", "sstream", "iosfwd"}, false},
-      {"istream", true, {"istream", "iostream", "sstream", "iosfwd"}, false},
-      {"uint8_t", false, {"cstdint", "stdint.h"}, false},
-      {"uint16_t", false, {"cstdint", "stdint.h"}, false},
-      {"uint32_t", false, {"cstdint", "stdint.h"}, false},
-      {"uint64_t", false, {"cstdint", "stdint.h"}, false},
-      {"int8_t", false, {"cstdint", "stdint.h"}, false},
-      {"int16_t", false, {"cstdint", "stdint.h"}, false},
-      {"int32_t", false, {"cstdint", "stdint.h"}, false},
-      {"int64_t", false, {"cstdint", "stdint.h"}, false},
-      {"uintptr_t", false, {"cstdint", "stdint.h"}, false},
-      {"size_t", false, {"cstddef", "cstdint", "cstdio", "cstring"}, false},
-      {"assert", false, {"cassert", "assert.h"}, false},
-      {"memcpy", false, {"cstring", "string.h"}, false},
-      {"memset", false, {"cstring", "string.h"}, false},
-      {"memmove", false, {"cstring", "string.h"}, false},
-  };
-  return Reqs;
-}
-
-std::vector<std::pair<std::string, bool>> h1SymbolKeys() {
-  std::vector<std::pair<std::string, bool>> Keys;
-  for (const HeaderReq &Req : fallbackHeaderTable())
-    Keys.emplace_back(Req.Symbol, Req.NeedsStd);
-  // Generated-only symbols: no curated entry to fall back to.
-  Keys.emplace_back("optional", true);
-  Keys.emplace_back("variant", true);
-  Keys.emplace_back("expected", true);
-  return Keys;
-}
-
-std::vector<HeaderReq> mergeHeaderTable(std::vector<HeaderReq> Generated) {
-  std::set<std::string> Have;
-  for (const HeaderReq &Req : Generated)
-    Have.insert(Req.Symbol);
-  for (const HeaderReq &Req : fallbackHeaderTable())
-    if (!Have.count(Req.Symbol))
-      Generated.push_back(Req);
-  return Generated;
-}
-
-//===----------------------------------------------------------------------===//
 // Catalogue and driver
 //===----------------------------------------------------------------------===//
 
@@ -1012,21 +991,13 @@ const std::vector<RuleInfo> &ruleCatalog() {
       {"D4", "alloc-ok",
        "no raw new/delete/malloc outside designated allocator files"},
       {"H1", "header-ok",
-       "canonical include guards and self-contained headers (symbol→header "
-       "table generated from compile_commands.json when available)"},
+       "canonical include guards and self-contained headers"},
       {"C1", "cycles-ok",
        "cycle charging must route through obs::CycleAccount::charge (the "
        "rule discovers the class's fields from its definition)"},
       {"D5", "float-cycles-ok",
        "cycle and heat accounting must use integer arithmetic, not "
        "float/double"},
-      {"T1", "lock-ok",
-       "fields annotated hds-guarded-by(Mutex) mutate only inside a scope "
-       "holding that mutex (lock_guard/scoped_lock/unique_lock or an "
-       "hds-requires function)"},
-      {"W1", nullptr,
-       "the wire/metric schema must extend tests/golden/schema.lock "
-       "append-only: no reorder, removal, or renumber"},
       {"E1", "exhaustive-ok",
        "switches over hds-exhaustive enums cover every enumerator, with "
        "no default"},
@@ -1043,8 +1014,6 @@ std::vector<Finding> runLint(const std::vector<LexedFile> &Files,
   ProjectIndex Index = buildIndex(Files);
   const CycleAccountInfo Account = findCycleAccount(Files);
   const MarkedEnums Marked = collectMarkedEnums(Files);
-  const std::vector<HeaderReq> &H1Table =
-      Opts.HeaderTable ? *Opts.HeaderTable : fallbackHeaderTable();
 
   auto RuleEnabled = [&](const char *Id) {
     if (Opts.OnlyRules.empty())
@@ -1054,25 +1023,6 @@ std::vector<Finding> runLint(const std::vector<LexedFile> &Files,
   };
 
   std::vector<Finding> Result;
-
-  // Cross-TU passes: the T1 annotation registry and the W1 schema check.
-  std::vector<Finding> AnnotationSup;
-  LockRegistry Locks = collectLockAnnotations(Files, AnnotationSup);
-  if (RuleEnabled("SUP"))
-    for (Finding &F : AnnotationSup)
-      Result.push_back(std::move(F));
-  if (RuleEnabled("W1") && Opts.SchemaLockText) {
-    std::vector<SchemaSection> Locked;
-    std::string Error;
-    if (!parseSchemaLock(*Opts.SchemaLockText, Opts.SchemaLockPath, Locked,
-                         Error)) {
-      Result.push_back({"W1", Opts.SchemaLockPath, 1, Error,
-                        "regenerate the lock with --write-schema-lock"});
-    } else {
-      compareSchema(Locked, collectSchema(Files), Opts.SchemaLockPath,
-                    Result);
-    }
-  }
 
   for (const LexedFile &File : Files) {
     std::vector<Finding> SupFindings;
@@ -1088,13 +1038,11 @@ std::vector<Finding> runLint(const std::vector<LexedFile> &Files,
     if (RuleEnabled("D4"))
       checkD4(File, Raw);
     if (RuleEnabled("H1"))
-      checkH1(File, H1Table, Raw);
+      checkH1(File, Raw);
     if (RuleEnabled("C1"))
       checkC1(File, Account, Raw);
     if (RuleEnabled("D5"))
       checkD5(File, Raw);
-    if (RuleEnabled("T1"))
-      checkLockDiscipline(File, Locks, Raw);
     if (RuleEnabled("E1"))
       checkE1(File, Marked, Raw);
 

@@ -15,8 +15,6 @@
 ///   H1  header hygiene: canonical include guards, self-contained includes
 ///   C1  cycle accounting must route through the MemoryHierarchy API
 ///   D5  cycle/heat accounting must stay in integer arithmetic
-///   T1  hds-guarded-by fields mutate only under their mutex
-///   W1  the wire/metric schema matches the committed schema.lock
 ///   E1  switches over hds-exhaustive enums cover every enumerator
 ///   SUP malformed hds-lint suppression comments
 ///   STALE suppressions whose rule no longer fires (--stale-suppressions)
@@ -31,16 +29,22 @@
 #ifndef HDS_LINT_RULES_H
 #define HDS_LINT_RULES_H
 
-#include "lint/Finding.h"
 #include "lint/Lexer.h"
-#include "lint/ProjectModel.h"
 
 #include <string>
-#include <utility>
 #include <vector>
 
 namespace hds {
 namespace lint {
+
+/// One reported violation.
+struct Finding {
+  std::string RuleId; ///< "D1" ... "D5", "H1", "C1", "E1", "SUP", "STALE"
+  std::string Path;   ///< display path of the offending file
+  unsigned Line = 0;
+  std::string Message;
+  std::string FixHint;
+};
 
 /// Static description of one rule.
 struct RuleInfo {
@@ -55,33 +59,14 @@ const std::vector<RuleInfo> &ruleCatalog();
 struct LintOptions {
   /// If nonempty, only run rules with these ids.
   std::vector<std::string> OnlyRules;
-  /// Contents of the committed schema lock; W1 runs only when set.
-  const std::string *SchemaLockText = nullptr;
-  /// Display path of the lock, for finding attribution and fix hints.
-  std::string SchemaLockPath = "tests/golden/schema.lock";
-  /// Generated H1 symbol→header table (see ProjectModel).  When null,
-  /// H1 falls back to the curated table alone.
-  const std::vector<HeaderReq> *HeaderTable = nullptr;
   /// Report suppressions that no longer suppress anything (STALE).
   bool ReportStale = false;
 };
 
-/// The symbol keys H1 checks, as (symbol, needsStd) pairs — the union the
-/// compile-db generator should resolve.  Includes the generated-only
-/// symbols (optional, variant, expected) that have no curated fallback.
-std::vector<std::pair<std::string, bool>> h1SymbolKeys();
-
-/// The curated fallback table used when no compile database is available.
-const std::vector<HeaderReq> &fallbackHeaderTable();
-
-/// Merges \p Generated with the curated fallback: generated entries win,
-/// fallback fills symbols the generator could not resolve.
-std::vector<HeaderReq> mergeHeaderTable(std::vector<HeaderReq> Generated);
-
 /// Runs every (selected) rule over \p Files and returns the unsuppressed
 /// findings, sorted by path, line, and rule id.  Cross-file context (the
-/// D2 unordered-container index, the T1 lock registry, the W1 schema
-/// snapshot) is built from exactly the files passed in, so callers should
+/// D2 unordered-container index, the C1 account fields, the E1 marked
+/// enums) is built from exactly the files passed in, so callers should
 /// lint a whole tree at once.
 std::vector<Finding> runLint(const std::vector<LexedFile> &Files,
                              const LintOptions &Opts = LintOptions());

@@ -8,7 +8,6 @@
 
 #include "lint/TokenUtil.h"
 
-#include <cstdlib>
 #include <set>
 
 namespace hds {
@@ -241,9 +240,7 @@ std::vector<FunctionBody> findFunctionBodies(const Toks &T,
           Best = CS.Close - CS.Open;
         }
     }
-    bool IsCtorDtor = IsDtor || (!ClassName.empty() && Name == ClassName);
-    Bodies.push_back(
-        {Name, ClassName, NameTok, J, BodyClose, IsCtorDtor, T[NameTok].Line});
+    Bodies.push_back({ClassName, J, BodyClose});
     I = J; // resume after the header; nested lambdas are part of this body
   }
   return Bodies;
@@ -287,7 +284,6 @@ std::vector<EnumDef> findEnums(const LexedFile &File) {
     size_t Close = matchingClose(T, J);
     if (Close == T.size())
       continue;
-    long long Next = 0;
     int Depth = 0;
     for (size_t K = J; K < Close; ++K) {
       if (T[K].K == Token::Punct) {
@@ -304,28 +300,18 @@ std::vector<EnumDef> findEnums(const LexedFile &File) {
                           isPunct(T, K + 1, "=");
       if (!IsEnumerator)
         continue;
-      long long Value = Next;
-      if (isPunct(T, K + 1, "=") && K + 2 < Close &&
-          T[K + 2].K == Token::Number)
-        Value = std::strtoll(T[K + 2].Text.c_str(), nullptr, 0);
-      Def.Enumerators.emplace_back(T[K].Text, Value);
-      Next = Value + 1;
+      Def.Enumerators.push_back(T[K].Text);
       // Skip past the initializer to avoid treating its identifiers as
       // enumerators.
       while (K + 1 < Close && !isPunct(T, K + 1, ","))
         ++K;
     }
-    // Markers attach like suppressions: the comment's own lines plus the
-    // line below it.
-    for (const Comment &Note : File.Comments) {
-      bool Attached = Def.Line >= Note.Line && Def.Line <= Note.EndLine + 1;
-      if (!Attached)
-        continue;
-      if (Note.Text.find("hds-exhaustive") != std::string::npos)
+    // The marker attaches like a suppression: the comment's own lines
+    // plus the line below it.
+    for (const Comment &Note : File.Comments)
+      if (Def.Line >= Note.Line && Def.Line <= Note.EndLine + 1 &&
+          Note.Text.find("hds-exhaustive") != std::string::npos)
         Def.Exhaustive = true;
-      if (Note.Text.find("hds-schema-enum") != std::string::npos)
-        Def.SchemaLocked = true;
-    }
     Enums.push_back(std::move(Def));
   }
   return Enums;

@@ -6,12 +6,11 @@
 ///
 /// \file
 /// Token-level structure discovery for one translation unit: class body
-/// spans, function bodies (with owning class and ctor/dtor detection),
-/// and enum definitions with their enumerator values and lint markers.
-/// This is deliberately a recognizer, not a parser — it finds the shapes
-/// the semantic rules (T1 lock discipline, E1 exhaustive dispatch, W1
-/// schema lock) need and ignores everything else.  Unrecognized constructs
-/// degrade to "not tracked", never to a crash.
+/// spans, function bodies with their owning class, and enum definitions
+/// with their enumerators and the `hds-exhaustive` marker.  This is
+/// deliberately a recognizer, not a parser — it finds the shapes E1
+/// exhaustive dispatch needs and ignores everything else.  Unrecognized
+/// constructs degrade to "not tracked", never to a crash.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,7 +21,6 @@
 
 #include <cstddef>
 #include <string>
-#include <utility>
 #include <vector>
 
 namespace hds {
@@ -38,28 +36,22 @@ struct ClassSpan {
 
 /// One function definition with a body.
 struct FunctionBody {
-  std::string Name;      ///< unqualified name ("resolveLocked")
   std::string ClassName; ///< owning class, "" for free functions
-  size_t NameTok = 0;    ///< token index of the name
   size_t Open = 0;       ///< token index of the body '{'
   size_t Close = 0;      ///< token index of the matching '}'
-  bool IsCtorDtor = false;
-  unsigned Line = 0; ///< line of the name token
 };
 
-/// One enum definition, with values resolved (implicit enumerators count
-/// up from the previous value).
+/// One enum definition and its enumerator names in declaration order.
 struct EnumDef {
   std::string Name;
   /// Innermost enclosing class/struct body, "" at namespace scope.  Lets
   /// rules resolve `OwningClass::Member` qualifiers and bare member uses
   /// inside the class's own scope.
   std::string OwningClass;
-  std::vector<std::pair<std::string, long long>> Enumerators;
+  std::vector<std::string> Enumerators;
   unsigned Line = 0;
-  bool Scoped = false;       ///< `enum class/struct` — members never bare
-  bool Exhaustive = false;   ///< marked `// hds-exhaustive`
-  bool SchemaLocked = false; ///< marked `// hds-schema-enum`
+  bool Scoped = false;     ///< `enum class/struct` — members never bare
+  bool Exhaustive = false; ///< marked `// hds-exhaustive`
 };
 
 /// Finds every class/struct definition body in \p T.  Template parameter
@@ -69,14 +61,12 @@ std::vector<ClassSpan> findClassSpans(const std::vector<Token> &T);
 
 /// Finds function definitions (declarations with a `{...}` body) in \p T.
 /// The owning class comes from an explicit `Class::name` qualifier or the
-/// innermost enclosing span in \p Classes.  Constructor/destructor bodies
-/// are flagged so callers can exempt them from concurrency checks.
+/// innermost enclosing span in \p Classes.
 std::vector<FunctionBody> findFunctionBodies(const std::vector<Token> &T,
                                              const std::vector<ClassSpan> &Classes);
 
-/// Finds enum definitions in \p File and resolves enumerator values.
-/// Marker comments (`hds-exhaustive`, `hds-schema-enum`) attach like
-/// suppressions: on the definition line or the line above.
+/// Finds enum definitions in \p File.  The `hds-exhaustive` marker
+/// attaches like a suppression: on the definition line or the line above.
 std::vector<EnumDef> findEnums(const LexedFile &File);
 
 } // namespace lint

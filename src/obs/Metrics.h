@@ -19,8 +19,8 @@
 /// Append-only contract: new metrics are appended at the end of their
 /// block's visit function, never reordered or removed, so result
 /// documents written before the change still diff against new ones.
-/// tests/golden/schema.lock records every block's order, and the W1 lint
-/// rule rejects a reorder or removal (docs/static-analysis.md).
+/// MetricRegistryTest.HasEveryBlockInDocumentOrder (tests/obs_test.cpp)
+/// spells out every block's ids, so a reorder or removal fails tier 1.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -31,6 +31,7 @@
 #include "prefetch/StreamPrefetcher.h"
 #include "prefetch/StridePrefetcher.h"
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 

@@ -26,6 +26,7 @@
 #include <atomic>
 #include <semaphore>
 #include <string>
+#include <thread>
 #include <vector>
 
 using namespace hds;
@@ -104,6 +105,39 @@ TEST(JobScheduler, DestructorJoinsWithQueuedJobs) {
   EXPECT_LE(Ran.load(), 8);
 }
 
+TEST(JobScheduler, CountersAndCancelAreSafeWhileWorkersRun) {
+  // Two submitters, a canceller and a counter reader race the workers.
+  // Every job is either executed or dropped, exactly once; under TSan
+  // this also checks that each member access holds the pool mutex.
+  constexpr std::size_t PerSubmitter = 200;
+  std::atomic<std::size_t> Ran{0};
+  std::atomic<bool> Done{false};
+  JobScheduler Pool(4);
+  std::jthread Reader([&] {
+    while (!Done.load())
+      (void)(Pool.executed() + Pool.dropped());
+  });
+  {
+    std::vector<std::jthread> Threads;
+    for (int S = 0; S < 2; ++S)
+      Threads.emplace_back([&] {
+        for (std::size_t I = 0; I < PerSubmitter; ++I)
+          Pool.submit([&Ran] { Ran.fetch_add(1); });
+      });
+    Threads.emplace_back([&] {
+      for (int I = 0; I < 100; ++I) {
+        Pool.cancel();
+        std::this_thread::yield();
+      }
+    });
+  }
+  Pool.wait();
+  Done = true;
+  Reader.join();
+  EXPECT_EQ(Pool.executed(), Ran.load());
+  EXPECT_EQ(Pool.executed() + Pool.dropped(), 2 * PerSubmitter);
+}
+
 //===----------------------------------------------------------------------===//
 // ResultSink
 //===----------------------------------------------------------------------===//
@@ -151,6 +185,52 @@ TEST(ResultSink, UnfilledSlotsComeBackCancelled) {
   ASSERT_EQ(Results.size(), 2u);
   EXPECT_TRUE(Results[0].ok());
   EXPECT_EQ(Results[1].State, RunResult::Status::Cancelled);
+}
+
+TEST(ResultSink, ConcurrentDeliveriesCallbackAndPollingAreSerialized) {
+  // Four workers deliver disjoint slots, half before and half after
+  // another thread installs the callback, while a poller reads
+  // completed() through take().  The relaxed flags only order the
+  // threads in time, so every happens-before edge must come from the
+  // sink's mutex: under TSan this checks that each member access holds
+  // it, and the callback's plain counter relies on deliver's lock.
+  constexpr std::size_t N = 64;
+  constexpr std::size_t Workers = 4;
+  ResultSink Sink(N);
+  std::size_t Calls = 0;
+  std::atomic<std::size_t> Delivered{0};
+  std::atomic<bool> Installed{false};
+  std::atomic<bool> Done{false};
+  std::jthread Poller([&] {
+    while (!Done.load())
+      (void)Sink.completed();
+  });
+  {
+    std::vector<std::jthread> Threads;
+    for (std::size_t W = 0; W < Workers; ++W)
+      Threads.emplace_back([&, W] {
+        for (std::size_t I = W; I < N; I += Workers) {
+          if (I == W + N / 2)
+            while (!Installed.load(std::memory_order_relaxed))
+              std::this_thread::yield();
+          Sink.deliver(I, okResult("w", I));
+          Delivered.fetch_add(1, std::memory_order_relaxed);
+        }
+      });
+    Threads.emplace_back([&] {
+      while (Delivered.load(std::memory_order_relaxed) < N / 2)
+        std::this_thread::yield();
+      Sink.setCallback([&Calls](std::size_t, const RunResult &) { ++Calls; });
+      Installed.store(true, std::memory_order_relaxed);
+    });
+  }
+  const std::vector<RunResult> Results = Sink.take();
+  Done = true;
+  Poller.join();
+  EXPECT_EQ(Calls, N / 2);
+  ASSERT_EQ(Results.size(), N);
+  for (std::size_t I = 0; I < N; ++I)
+    EXPECT_EQ(Results[I].Cycles, I);
 }
 
 //===----------------------------------------------------------------------===//

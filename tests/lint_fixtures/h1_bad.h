@@ -8,6 +8,9 @@ struct Holder {
   std::array<int, 4> Quad;   // H1: <array> not included
   std::span<const int> View; // H1: <span> not included
   uint64_t Total = 0;        // H1: <cstdint> not included
+  std::optional<int> Best;   // H1: <optional> not included
+  std::variant<int, long> V; // H1: <variant> not included
+  std::expected<int, int> E; // H1: <expected> not included
 };
 
 #endif

@@ -4,11 +4,13 @@
 #define HDS_FIXTURE_H1_GOOD_H
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 struct Holder {
   std::vector<int> Values;
   uint64_t Total = 0;
+  std::optional<int> Best;
 };
 
 #endif // HDS_FIXTURE_H1_GOOD_H

@@ -2,29 +2,24 @@
 //
 // Part of the hds project (PLDI 2002 hot data stream prefetching repro).
 //
-// Tests for the semantic (cross-TU) half of hds_lint: T1 lock discipline,
-// W1 schema lock, E1 exhaustive dispatch, STALE suppression auditing, and
-// the compile-db project model that generates H1's symbol→header table.
+// Tests for the semantic (cross-TU) half of hds_lint: E1 exhaustive
+// dispatch, STALE suppression auditing and the H1 symbol table.
 // Sources are supplied inline or from tests/lint_fixtures/ with virtual
 // display paths, so path-scoped behavior matches the real tree.
 //
 //===----------------------------------------------------------------------===//
 
 #include "lint/Lexer.h"
-#include "lint/ProjectModel.h"
 #include "lint/Rules.h"
-#include "lint/SchemaLock.h"
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 using namespace hds::lint;
-namespace fs = std::filesystem;
 
 namespace {
 
@@ -59,138 +54,6 @@ std::vector<Finding> lintSources(
   for (const auto &[Path, Text] : Sources)
     Files.push_back(lexSource(Path, Text));
   return runLint(Files, Opts);
-}
-
-//===----------------------------------------------------------------------===//
-// T1: lock discipline
-//===----------------------------------------------------------------------===//
-
-TEST(LintT1, PositiveFixtureFires) {
-  auto Fs = lintSources(
-      {{"src/engine/t1_positive.cpp", readFixture("t1_positive.cpp")}});
-  EXPECT_EQ(countRule(Fs, "T1"), 4) << dump(Fs);
-  EXPECT_EQ(countRule(Fs, "SUP"), 0) << dump(Fs);
-}
-
-TEST(LintT1, SuppressedFixtureIsClean) {
-  auto Fs = lintSources(
-      {{"src/engine/t1_suppressed.cpp", readFixture("t1_suppressed.cpp")}});
-  EXPECT_EQ(countRule(Fs, "T1"), 0) << dump(Fs);
-  EXPECT_EQ(countRule(Fs, "SUP"), 0) << dump(Fs);
-}
-
-TEST(LintT1, AnnotationsCrossTranslationUnits) {
-  // The annotated class lives in a header; the unguarded mutation in a
-  // separate .cpp that never textually includes the annotation.
-  const char *Header = R"(
-struct Shared {
-  int Mutex;
-  int Hits = 0; // hds-guarded-by(Mutex)
-};
-)";
-  const char *User = R"(
-struct Shared;
-void bump(Shared &S);
-void caller(Shared &S) { S.Hits++; }
-)";
-  auto Fs = lintSources({{"src/engine/Shared.h", Header},
-                         {"src/engine/User.cpp", User}});
-  EXPECT_EQ(countRule(Fs, "T1"), 1) << dump(Fs);
-}
-
-TEST(LintT1, DeferLockIsNotHeld) {
-  const char *Src = R"(
-#include <mutex>
-struct Pool {
-  std::mutex Mutex;
-  int Count = 0; // hds-guarded-by(Mutex)
-};
-void deferred(Pool &P) {
-  std::unique_lock<std::mutex> Lock(P.Mutex, std::defer_lock);
-  P.Count = 1;
-}
-)";
-  auto Fs = lintSources({{"src/engine/defer.cpp", Src}});
-  EXPECT_EQ(countRule(Fs, "T1"), 1) << dump(Fs);
-}
-
-TEST(LintT1, UnlockInNestedBlockDoesNotLeak) {
-  // The unlock-then-return branch must not mark the fall-through path
-  // unlocked (the Coordinator dispatch-loop shape).
-  const char *Src = R"(
-#include <mutex>
-struct Pool {
-  std::mutex Mutex;
-  int Count = 0; // hds-guarded-by(Mutex)
-  bool Done = false; // hds-guarded-by(Mutex)
-};
-void dispatch(Pool &P) {
-  std::unique_lock<std::mutex> Lock(P.Mutex);
-  if (P.Done) {
-    Lock.unlock();
-    return;
-  }
-  P.Count = 1;
-}
-)";
-  auto Fs = lintSources({{"src/engine/nested.cpp", Src}});
-  EXPECT_EQ(countRule(Fs, "T1"), 0) << dump(Fs);
-}
-
-TEST(LintT1, RequiresFunctionBodyAndCallers) {
-  const char *Src = R"(
-#include <mutex>
-struct Pool {
-  std::mutex Mutex;
-  int Count = 0; // hds-guarded-by(Mutex)
-
-  // hds-requires(Mutex)
-  void bumpLocked() { ++Count; }
-
-  void lockedCaller() {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    bumpLocked();
-  }
-
-  void unlockedCaller() { bumpLocked(); }
-};
-)";
-  auto Fs = lintSources({{"src/engine/req.cpp", Src}});
-  // Exactly one finding: the unlocked call site.  The requires body and
-  // the locked caller are clean.
-  ASSERT_EQ(countRule(Fs, "T1"), 1) << dump(Fs);
-  for (const Finding &F : Fs)
-    if (F.RuleId == "T1") {
-      EXPECT_NE(F.Message.find("bumpLocked"), std::string::npos) << dump(Fs);
-    }
-}
-
-TEST(LintT1, ConstructorOfOwningClassIsExempt) {
-  const char *Src = R"(
-#include <mutex>
-struct Pool {
-  std::mutex Mutex;
-  int Count = 0; // hds-guarded-by(Mutex)
-  Pool() { Count = 7; }
-  ~Pool() { Count = 0; }
-};
-)";
-  auto Fs = lintSources({{"src/engine/ctor.cpp", Src}});
-  EXPECT_EQ(countRule(Fs, "T1"), 0) << dump(Fs);
-}
-
-TEST(LintT1, MalformedAnnotationIsReported) {
-  const char *Src = R"(
-struct Pool {
-  int Mutex;
-  // hds-guarded-by(Mutex)
-};
-void idle();
-// hds-guarded-by
-int looseField;
-)";
-  auto Fs = lintSources({{"src/engine/badnote.cpp", Src}});
-  EXPECT_GE(countRule(Fs, "SUP"), 2) << dump(Fs);
 }
 
 //===----------------------------------------------------------------------===//
@@ -302,157 +165,6 @@ int pick(Kind K) {
 }
 
 //===----------------------------------------------------------------------===//
-// W1: schema lock
-//===----------------------------------------------------------------------===//
-
-/// A miniature schema surface: a wire constant, a locked enum, and one
-/// metrics visitor, as the tree-side "current" state.
-const char *SchemaSource = R"(
-// hds-schema-enum
-enum class FrameType : unsigned char {
-  Hello = 1,
-  Assign = 2,
-};
-constexpr unsigned char ProtocolVersion = 3;
-struct MetricDef { const char *Id; };
-template <typename V> void visitPoolMetrics(V &&Visit) {
-  Visit(MetricDef{"hits"});
-  Visit(MetricDef{"misses"});
-}
-)";
-
-std::vector<LexedFile> schemaFiles(const std::string &Text = SchemaSource) {
-  std::vector<LexedFile> Files;
-  Files.push_back(lexSource("src/engine/MiniWire.h", Text));
-  return Files;
-}
-
-LintOptions schemaOpts(const std::string &LockText) {
-  static std::string Keep;
-  Keep = LockText;
-  LintOptions Opts;
-  Opts.OnlyRules = {"W1"};
-  Opts.SchemaLockText = &Keep;
-  Opts.SchemaLockPath = "tests/golden/mini.lock";
-  return Opts;
-}
-
-TEST(LintW1, RoundTripIsClean) {
-  auto Files = schemaFiles();
-  const std::string Lock = renderSchemaLock(collectSchema(Files));
-  auto Fs = runLint(Files, schemaOpts(Lock));
-  EXPECT_EQ(countRule(Fs, "W1"), 0) << dump(Fs);
-}
-
-TEST(LintW1, CollectFindsAllSections) {
-  auto Sections = collectSchema(schemaFiles());
-  ASSERT_EQ(Sections.size(), 3u);
-  // Sorted by (kind, name): const wire, enum FrameType, metrics visitPool.
-  EXPECT_EQ(Sections[0].Kind, "const");
-  EXPECT_EQ(Sections[0].Entries.front().Name, "ProtocolVersion");
-  EXPECT_EQ(Sections[0].Entries.front().Value, 3);
-  EXPECT_EQ(Sections[1].Name, "FrameType");
-  ASSERT_EQ(Sections[1].Entries.size(), 2u);
-  EXPECT_EQ(Sections[1].Entries[1].Name, "Assign");
-  EXPECT_EQ(Sections[1].Entries[1].Value, 2);
-  EXPECT_EQ(Sections[2].Name, "visitPoolMetrics");
-  ASSERT_EQ(Sections[2].Entries.size(), 2u);
-  EXPECT_EQ(Sections[2].Entries[0].Name, "hits");
-  EXPECT_EQ(Sections[2].Entries[1].Value, 1);
-}
-
-TEST(LintW1, ReorderedTagFails) {
-  auto Files = schemaFiles();
-  std::string Lock = renderSchemaLock(collectSchema(Files));
-  // Swap the two metric entries in the lock.
-  size_t H = Lock.find("hits 0\nmisses 1");
-  ASSERT_NE(H, std::string::npos);
-  Lock.replace(H, std::string("hits 0\nmisses 1").size(),
-               "misses 1\nhits 0");
-  auto Fs = runLint(Files, schemaOpts(Lock));
-  ASSERT_GE(countRule(Fs, "W1"), 1) << dump(Fs);
-  EXPECT_NE(dump(Fs).find("reordered"), std::string::npos) << dump(Fs);
-}
-
-TEST(LintW1, DeletedMetricFails) {
-  // The lock remembers a metric the tree no longer enumerates.
-  auto Files = schemaFiles();
-  std::string Lock = renderSchemaLock(collectSchema(Files));
-  std::string Without = SchemaSource;
-  size_t M = Without.find("  Visit(MetricDef{\"misses\"});\n");
-  ASSERT_NE(M, std::string::npos);
-  Without.erase(M, std::string("  Visit(MetricDef{\"misses\"});\n").size());
-  auto Fs = runLint(schemaFiles(Without), schemaOpts(Lock));
-  ASSERT_GE(countRule(Fs, "W1"), 1) << dump(Fs);
-  EXPECT_NE(dump(Fs).find("removed"), std::string::npos) << dump(Fs);
-}
-
-TEST(LintW1, RenumberedFrameTypeFails) {
-  auto Files = schemaFiles();
-  std::string Lock = renderSchemaLock(collectSchema(Files));
-  std::string Renumbered = SchemaSource;
-  size_t A = Renumbered.find("Assign = 2");
-  ASSERT_NE(A, std::string::npos);
-  Renumbered.replace(A, std::string("Assign = 2").size(), "Assign = 9");
-  auto Fs = runLint(schemaFiles(Renumbered), schemaOpts(Lock));
-  ASSERT_GE(countRule(Fs, "W1"), 1) << dump(Fs);
-  EXPECT_NE(dump(Fs).find("renumbered"), std::string::npos) << dump(Fs);
-}
-
-TEST(LintW1, ProtocolVersionBumpIsStaleNotFrozen) {
-  // Bumping the wire version forward is the sanctioned mutation (skew is
-  // rejected at the frame header); the lock merely goes stale.  Moving
-  // it backwards is still a renumber finding.
-  auto Files = schemaFiles();
-  std::string Lock = renderSchemaLock(collectSchema(Files));
-  std::string Bumped = SchemaSource;
-  size_t V = Bumped.find("ProtocolVersion = 3");
-  ASSERT_NE(V, std::string::npos);
-  Bumped.replace(V, std::string("ProtocolVersion = 3").size(),
-                 "ProtocolVersion = 4");
-  auto Fs = runLint(schemaFiles(Bumped), schemaOpts(Lock));
-  ASSERT_EQ(countRule(Fs, "W1"), 1) << dump(Fs);
-  EXPECT_NE(dump(Fs).find("stale"), std::string::npos) << dump(Fs);
-
-  std::string Reverted = SchemaSource;
-  Reverted.replace(V, std::string("ProtocolVersion = 3").size(),
-                   "ProtocolVersion = 2");
-  auto Back = runLint(schemaFiles(Reverted), schemaOpts(Lock));
-  ASSERT_GE(countRule(Back, "W1"), 1) << dump(Back);
-  EXPECT_NE(dump(Back).find("renumbered"), std::string::npos) << dump(Back);
-}
-
-TEST(LintW1, LegalAppendReportsStaleLock) {
-  auto Files = schemaFiles();
-  std::string Lock = renderSchemaLock(collectSchema(Files));
-  std::string Appended = SchemaSource;
-  size_t E = Appended.find("  Assign = 2,\n");
-  ASSERT_NE(E, std::string::npos);
-  Appended.insert(E + std::string("  Assign = 2,\n").size(),
-                  "  Result = 3,\n");
-  auto Fs = runLint(schemaFiles(Appended), schemaOpts(Lock));
-  ASSERT_EQ(countRule(Fs, "W1"), 1) << dump(Fs);
-  EXPECT_NE(dump(Fs).find("stale"), std::string::npos) << dump(Fs);
-}
-
-TEST(LintW1, SuppressionCannotSilenceW1) {
-  // W1 has no suppression tag; an unknown tag in a note is itself a SUP
-  // finding and the W1 finding survives.
-  auto Files = schemaFiles();
-  std::string Lock = renderSchemaLock(collectSchema(Files));
-  std::string Renumbered = SchemaSource;
-  size_t A = Renumbered.find("Assign = 2");
-  ASSERT_NE(A, std::string::npos);
-  Renumbered.replace(A, std::string("Assign = 2").size(),
-                     "Assign = 9, // hds-lint: schema-ok(nope)");
-  LintOptions Opts = schemaOpts(Lock);
-  Opts.OnlyRules.clear(); // let SUP run too
-  auto Fs = runLint(schemaFiles(Renumbered), Opts);
-  EXPECT_GE(countRule(Fs, "W1"), 1) << dump(Fs);
-  EXPECT_GE(countRule(Fs, "SUP"), 1) << dump(Fs);
-}
-
-//===----------------------------------------------------------------------===//
 // STALE: suppression audit
 //===----------------------------------------------------------------------===//
 
@@ -488,142 +200,29 @@ void walk(const std::unordered_map<int, int> &Table) {
 }
 
 //===----------------------------------------------------------------------===//
-// Project model: compile DB parsing and header-table generation
+// H1 symbol table: the project's table of symbol -> providing header
 //===----------------------------------------------------------------------===//
 
-TEST(LintProjectModel, ParsesCommandAndArgumentsForms) {
-  const char *Json = R"([
-  {
-    "directory": "/work/build",
-    "command": "/usr/bin/g++ -I/abs/inc -Irel/inc -isystem /sys/inc -c a.cpp",
-    "file": "a.cpp"
-  },
-  {
-    "directory": "/work/build",
-    "arguments": ["clang++", "-I", "other", "-c", "b.cpp"],
-    "file": "b.cpp"
-  }
-])";
-  std::vector<CompileCommand> Cmds;
-  std::string Error;
-  ASSERT_TRUE(parseCompileDb(Json, "compile_commands.json", Cmds, Error))
-      << Error;
-  ASSERT_EQ(Cmds.size(), 2u);
-  EXPECT_EQ(Cmds[0].Compiler, "/usr/bin/g++");
-  ASSERT_EQ(Cmds[0].IncludeDirs.size(), 3u);
-  EXPECT_EQ(Cmds[0].IncludeDirs[0], "/abs/inc");
-  EXPECT_EQ(Cmds[0].IncludeDirs[1], "/work/build/rel/inc");
-  EXPECT_EQ(Cmds[0].IncludeDirs[2], "/sys/inc");
-  EXPECT_EQ(Cmds[1].Compiler, "clang++");
-  ASSERT_EQ(Cmds[1].IncludeDirs.size(), 1u);
-  EXPECT_EQ(Cmds[1].IncludeDirs[0], "/work/build/other");
-}
-
-TEST(LintProjectModel, RejectsMalformedJson) {
-  std::vector<CompileCommand> Cmds;
-  std::string Error;
-  EXPECT_FALSE(parseCompileDb("{\"not\": \"an array\"}",
-                              "compile_commands.json", Cmds, Error));
-  EXPECT_FALSE(Error.empty());
-}
-
-/// Builds a fake sysroot: outer.h includes inner.h, which declares the
-/// type; a macro header defines a symbol directly.
-class FakeSysroot : public ::testing::Test {
-protected:
-  void SetUp() override {
-    Root = fs::path(::testing::TempDir()) / "hds_lint_sysroot";
-    fs::create_directories(Root);
-    write("inner.h", "#pragma once\nstruct Widget { int X; };\n"
-                     "typedef unsigned short gadget_t;\n");
-    write("outer.h", "#pragma once\n#include <inner.h>\n");
-    write("defs.h", "#pragma once\n#define WIDGET_MAX 16\n"
-                    "using widget_fn = int;\n");
-  }
-  void write(const std::string &Name, const std::string &Text) {
-    std::ofstream Out(Root / Name, std::ios::binary);
-    Out << Text;
-  }
-  fs::path Root;
-};
-
-TEST_F(FakeSysroot, ResolvesTransitiveProviders) {
-  auto Table = generateHeaderTable(
-      {{"Widget", false}, {"gadget_t", false}, {"WIDGET_MAX", false},
-       {"widget_fn", false}, {"NoSuchSymbol", false}},
-      {"outer.h", "inner.h", "defs.h"}, {Root.string()});
-  auto Find = [&](const std::string &Sym) -> const HeaderReq * {
-    for (const HeaderReq &Req : Table)
-      if (Req.Symbol == Sym)
-        return &Req;
-    return nullptr;
-  };
-  const HeaderReq *Widget = Find("Widget");
-  ASSERT_NE(Widget, nullptr);
-  EXPECT_TRUE(Widget->Generated);
-  // Declared in inner.h, provided transitively by outer.h; the exact-name
-  // provider ordering puts no header first here (no name match), but both
-  // providers must be present.
-  EXPECT_NE(std::find(Widget->Headers.begin(), Widget->Headers.end(),
-                      "inner.h"),
-            Widget->Headers.end());
-  EXPECT_NE(std::find(Widget->Headers.begin(), Widget->Headers.end(),
-                      "outer.h"),
-            Widget->Headers.end());
-  const HeaderReq *Gadget = Find("gadget_t");
-  ASSERT_NE(Gadget, nullptr);
-  const HeaderReq *Max = Find("WIDGET_MAX");
-  ASSERT_NE(Max, nullptr);
-  EXPECT_EQ(Max->Headers.front(), "defs.h");
-  const HeaderReq *Fn = Find("widget_fn");
-  ASSERT_NE(Fn, nullptr);
-  EXPECT_EQ(Fn->Headers.front(), "defs.h");
-  EXPECT_EQ(Find("NoSuchSymbol"), nullptr);
-}
-
-TEST(LintProjectModel, MergePrefersGeneratedAndFillsGaps) {
-  std::vector<HeaderReq> Generated = {
-      {"vector", true, {"vector"}, true},
-  };
-  auto Merged = mergeHeaderTable(Generated);
-  bool SawVector = false, SawSizeT = false;
-  for (const HeaderReq &Req : Merged) {
-    if (Req.Symbol == "vector") {
-      EXPECT_TRUE(Req.Generated);
-      SawVector = true;
-    }
-    if (Req.Symbol == "size_t") {
-      EXPECT_FALSE(Req.Generated);
-      SawSizeT = true;
-    }
-  }
-  EXPECT_TRUE(SawVector);
-  EXPECT_TRUE(SawSizeT);
-}
-
 TEST(LintProjectModel, GeneratedTableDrivesH1) {
-  // A header using std::optional without <optional>: the generated-only
-  // entry (absent from the curated fallback) must catch it.
-  std::vector<HeaderReq> Table = {
-      {"optional", true, {"optional"}, true},
-  };
+  // A header using std::optional without <optional>: the table entry for
+  // optional must catch it, and including the header must silence it.
   const char *Header = R"(#pragma once
 inline int orZero(int *P) { return P ? *P : 0; }
 inline std::optional<int> maybe(int *P);
 )";
   LintOptions Opts;
   Opts.OnlyRules = {"H1"};
-  Opts.HeaderTable = &Table;
-  std::vector<LexedFile> Files;
-  Files.push_back(lexSource("src/support/Maybe.h", Header));
-  auto Fs = runLint(Files, Opts);
+  auto Fs = lintSources({{"src/support/Maybe.h", Header}}, Opts);
   ASSERT_EQ(countRule(Fs, "H1"), 1) << dump(Fs);
   EXPECT_NE(Fs.front().Message.find("optional"), std::string::npos);
-  // Without the generated table, the curated fallback has no optional
-  // entry and stays quiet: exactly the gap the compile DB closes.
-  Opts.HeaderTable = nullptr;
-  auto Fallback = runLint(Files, Opts);
-  EXPECT_EQ(countRule(Fallback, "H1"), 0) << dump(Fallback);
+
+  const char *Fixed = R"(#pragma once
+#include <optional>
+inline int orZero(int *P) { return P ? *P : 0; }
+inline std::optional<int> maybe(int *P);
+)";
+  auto Clean = lintSources({{"src/support/Maybe.h", Fixed}}, Opts);
+  EXPECT_EQ(countRule(Clean, "H1"), 0) << dump(Clean);
 }
 
 } // namespace

@@ -24,6 +24,7 @@
 #include <set>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 using namespace hds;
@@ -154,18 +155,55 @@ TEST(StreamPrefetchStatsTest, FiguresOfMeritHandleZeroDenominators) {
 //===----------------------------------------------------------------------===//
 
 TEST(MetricRegistryTest, HasEveryBlockInDocumentOrder) {
+  // The results-JSON schema, written out: every block and its metric
+  // ids, in document order.  A metric may only be appended to its block;
+  // reordering, renaming or deleting one changes a key of every committed
+  // document, so it must show up here (and in the golden diff) as a
+  // deliberate edit.
+  const std::vector<std::pair<const char *, std::vector<std::string>>>
+      Expected = {
+          {"result",
+           {"accesses", "checks_executed", "traced_refs",
+            "instrumented_site_hits", "match_clauses_scanned",
+            "complete_matches", "prefetches_requested",
+            "stale_frame_accesses"}},
+          {"phase",
+           {"traced_refs", "hot_streams_detected", "streams_installed",
+            "dfsm_states", "dfsm_transitions", "check_clauses_injected",
+            "procedures_modified", "sites_instrumented", "grammar_rules",
+            "grammar_symbols", "analysis_cost_cycles",
+            "next_hibernation_periods"}},
+          {"memory",
+           {"demand_accesses", "stall_cycles", "prefetches_issued",
+            "prefetches_dropped_queue_full", "prefetches_redundant",
+            "partial_hits", "partial_hit_stall_cycles", "prefetches_useful",
+            "prefetches_unused_evicted"}},
+          {"cache",
+           {"hits", "misses", "demand_fills", "prefetch_fills", "evictions",
+            "useful_prefetches", "wasted_prefetches"}},
+          {"cycle_breakdown",
+           {"pure_compute", "demand_stall", "partial_hit_stall",
+            "dynamic_check", "profiling", "prefix_match", "prefetch_issue",
+            "analysis"}},
+          {"stream",
+           {"stream", "install_cycle", "length", "issued", "useful", "late",
+            "redundant", "dropped_queue_full", "unused_evicted",
+            "final_degree", "final_distance", "squelches"}},
+          {"prefetcher",
+           {"kind", "tag", "trains", "issued", "useful", "late", "redundant",
+            "dropped_queue_full", "unused_evicted", "selected_regions",
+            "sampled_epochs", "final_degree"}},
+          {"timing", {"wall_ns", "accesses_per_sec"}},
+      };
   const std::vector<MetricBlock> &Registry = metricRegistry();
-  ASSERT_EQ(Registry.size(), 8u);
-  EXPECT_STREQ(Registry[0].Name, "result");
-  EXPECT_STREQ(Registry[1].Name, "phase");
-  EXPECT_STREQ(Registry[2].Name, "memory");
-  EXPECT_STREQ(Registry[3].Name, "cache");
-  EXPECT_STREQ(Registry[4].Name, "cycle_breakdown");
-  EXPECT_STREQ(Registry[5].Name, "stream");
-  EXPECT_STREQ(Registry[6].Name, "prefetcher");
-  EXPECT_STREQ(Registry[7].Name, "timing");
-  for (const MetricBlock &Block : Registry)
-    EXPECT_FALSE(Block.Metrics.empty()) << Block.Name;
+  ASSERT_EQ(Registry.size(), Expected.size());
+  for (std::size_t B = 0; B < Expected.size(); ++B) {
+    EXPECT_STREQ(Registry[B].Name, Expected[B].first);
+    std::vector<std::string> Ids;
+    for (const obs::MetricDef &Def : Registry[B].Metrics)
+      Ids.push_back(Def.Id);
+    EXPECT_EQ(Ids, Expected[B].second) << "block " << Expected[B].first;
+  }
 }
 
 TEST(MetricRegistryTest, IdsAreUniqueAndDocumentedWithinEachBlock) {

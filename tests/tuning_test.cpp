@@ -249,6 +249,13 @@ TEST(PrefetcherSelection, ParseRejectsMalformedTokens) {
 TEST(PrefetcherSelection, TokenListMatchesTheRoster) {
   EXPECT_EQ(PrefetcherSelection::tokenList(),
             "none|stride|markov|stream|pair|duel");
+  // The numbering is the "kind" gauge of every results document's
+  // prefetcher rows: new engines are appended, nothing is renumbered.
+  EXPECT_EQ(Prefetcher::Stride, 0);
+  EXPECT_EQ(Prefetcher::Markov, 1);
+  EXPECT_EQ(Prefetcher::Stream, 2);
+  EXPECT_EQ(Prefetcher::PairTable, 3);
+  EXPECT_EQ(Prefetcher::Duel, 4);
 }
 
 } // namespace

@@ -11,13 +11,6 @@
 ///
 ///   --rule <id>              run only this rule (repeatable)
 ///   --list-rules             print the rule catalogue and exit
-///   --schema-lock <file>     enable W1 against this committed lock
-///   --write-schema-lock <f>  regenerate the lock from the tree and exit
-///   --compile-db <file>      generate the H1 symbol→header table from
-///                            this compile_commands.json
-///   --sys-include <dir>      system include dir for table generation
-///                            (repeatable; overrides the compiler probe)
-///   --dump-h1-table          print the effective H1 table and exit
 ///   --stale-suppressions     report suppression notes that no longer
 ///                            suppress anything (STALE)
 ///
@@ -29,15 +22,12 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "lint/IncludeGraph.h"
 #include "lint/Rules.h"
-#include "lint/SchemaLock.h"
 
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -91,72 +81,10 @@ bool readFile(const fs::path &P, std::string &Out) {
   return true;
 }
 
-/// Builds the generated H1 table from the compile database: first compile
-/// command → compiler → system include dirs (unless overridden), candidate
-/// top-level headers = every angle include in the linted tree plus the
-/// symbol table's known providers, then an on-disk declaration walk.
-/// Returns an empty table (caller falls back to the curated one) when the
-/// database or the toolchain headers cannot be read.
-std::vector<HeaderReq>
-buildGeneratedTable(const std::vector<LexedFile> &Files,
-                    const std::string &CompileDbPath,
-                    const std::vector<std::string> &SysIncludeOverride) {
-  std::string Json;
-  if (!readFile(CompileDbPath, Json)) {
-    std::fprintf(stderr,
-                 "hds_lint: warning: cannot read compile db %s; H1 uses "
-                 "the curated fallback table\n",
-                 CompileDbPath.c_str());
-    return {};
-  }
-  std::vector<CompileCommand> Commands;
-  std::string Error;
-  if (!parseCompileDb(Json, CompileDbPath, Commands, Error) ||
-      Commands.empty()) {
-    std::fprintf(stderr,
-                 "hds_lint: warning: %s; H1 uses the curated fallback "
-                 "table\n",
-                 Error.empty() ? "compile db has no entries" : Error.c_str());
-    return {};
-  }
-
-  std::vector<std::string> SearchDirs = SysIncludeOverride;
-  if (SearchDirs.empty())
-    SearchDirs = querySystemIncludeDirs(Commands.front().Compiler);
-  if (SearchDirs.empty()) {
-    std::fprintf(stderr,
-                 "hds_lint: warning: cannot determine system include dirs "
-                 "for '%s'; H1 uses the curated fallback table\n",
-                 Commands.front().Compiler.c_str());
-    return {};
-  }
-  for (const std::string &Dir : Commands.front().IncludeDirs)
-    SearchDirs.push_back(Dir);
-
-  std::set<std::string> Candidates;
-  for (const LexedFile &F : Files)
-    for (const std::string &H : angleIncludes(F))
-      Candidates.insert(H);
-  for (const HeaderReq &Req : fallbackHeaderTable())
-    for (const std::string &H : Req.Headers)
-      Candidates.insert(H);
-  for (const char *H : {"optional", "variant", "expected"})
-    Candidates.insert(H);
-
-  return generateHeaderTable(
-      h1SymbolKeys(),
-      std::vector<std::string>(Candidates.begin(), Candidates.end()),
-      SearchDirs);
-}
-
 void usage(std::FILE *To) {
   std::fprintf(To,
-               "usage: hds_lint [--rule <id>]... [--list-rules]\n"
-               "                [--schema-lock <file>] "
-               "[--write-schema-lock <file>]\n"
-               "                [--compile-db <file>] "
-               "[--sys-include <dir>]...\n"
-               "                [--dump-h1-table] [--stale-suppressions]\n"
+               "usage: hds_lint [--rule <id>]... [--list-rules] "
+               "[--stale-suppressions]\n"
                "                <file-or-dir>...\n");
 }
 
@@ -165,11 +93,6 @@ void usage(std::FILE *To) {
 int main(int Argc, char **Argv) {
   LintOptions Opts;
   std::vector<fs::path> Roots;
-  std::string SchemaLockPath;
-  std::string WriteSchemaLockPath;
-  std::string CompileDbPath;
-  std::vector<std::string> SysIncludes;
-  bool DumpH1Table = false;
 
   auto NeedValue = [&](int &I, const char *Flag) -> const char * {
     if (I + 1 >= Argc) {
@@ -191,38 +114,6 @@ int main(int Argc, char **Argv) {
       if (!V)
         return 2;
       Opts.OnlyRules.push_back(V);
-      continue;
-    }
-    if (Arg == "--schema-lock") {
-      const char *V = NeedValue(I, "--schema-lock");
-      if (!V)
-        return 2;
-      SchemaLockPath = V;
-      continue;
-    }
-    if (Arg == "--write-schema-lock") {
-      const char *V = NeedValue(I, "--write-schema-lock");
-      if (!V)
-        return 2;
-      WriteSchemaLockPath = V;
-      continue;
-    }
-    if (Arg == "--compile-db") {
-      const char *V = NeedValue(I, "--compile-db");
-      if (!V)
-        return 2;
-      CompileDbPath = V;
-      continue;
-    }
-    if (Arg == "--sys-include") {
-      const char *V = NeedValue(I, "--sys-include");
-      if (!V)
-        return 2;
-      SysIncludes.push_back(V);
-      continue;
-    }
-    if (Arg == "--dump-h1-table") {
-      DumpH1Table = true;
       continue;
     }
     if (Arg == "--stale-suppressions") {
@@ -273,47 +164,6 @@ int main(int Argc, char **Argv) {
       return 2;
     }
     Files.push_back(lexSource(P.generic_string(), Source));
-  }
-
-  if (!WriteSchemaLockPath.empty()) {
-    std::string Rendered = renderSchemaLock(collectSchema(Files));
-    std::ofstream Out(WriteSchemaLockPath, std::ios::binary);
-    if (!Out || !(Out << Rendered)) {
-      std::fprintf(stderr, "hds_lint: cannot write %s\n",
-                   WriteSchemaLockPath.c_str());
-      return 2;
-    }
-    return 0;
-  }
-
-  std::vector<HeaderReq> Table;
-  if (!CompileDbPath.empty())
-    Table = mergeHeaderTable(
-        buildGeneratedTable(Files, CompileDbPath, SysIncludes));
-  if (!Table.empty())
-    Opts.HeaderTable = &Table;
-
-  if (DumpH1Table) {
-    const std::vector<HeaderReq> &Effective =
-        Opts.HeaderTable ? *Opts.HeaderTable : fallbackHeaderTable();
-    for (const HeaderReq &Req : Effective) {
-      std::printf("%s%s ->", Req.NeedsStd ? "std::" : "", Req.Symbol.c_str());
-      for (const std::string &H : Req.Headers)
-        std::printf(" <%s>", H.c_str());
-      std::printf("%s\n", Req.Generated ? " (generated)" : " (curated)");
-    }
-    return 0;
-  }
-
-  std::string SchemaLockText;
-  if (!SchemaLockPath.empty()) {
-    if (!readFile(SchemaLockPath, SchemaLockText)) {
-      std::fprintf(stderr, "hds_lint: cannot read schema lock %s\n",
-                   SchemaLockPath.c_str());
-      return 2;
-    }
-    Opts.SchemaLockText = &SchemaLockText;
-    Opts.SchemaLockPath = SchemaLockPath;
   }
 
   std::vector<Finding> Findings = runLint(Files, Opts);
