@@ -26,29 +26,12 @@ done
 
 JOBS="$(nproc 2>/dev/null || echo 4)"
 
-# Milliseconds since the epoch (POSIX shell, no bashisms).
-now_ms() {
-  # %N is a GNU extension; fall back to second resolution elsewhere.
-  NS="$(date +%s%N 2>/dev/null)"
-  case "$NS" in
-    *N|'') echo "$(( $(date +%s) * 1000 ))" ;;
-    *)     echo "$(( NS / 1000000 ))" ;;
-  esac
-}
-
 # Layer 1+2: the -Werror build also produces the hds_lint binary.
 cmake -B build -S . >/dev/null
 cmake --build build -j"$JOBS" --target hds_lint
 echo "== hds_lint =="
-LINT_START="$(now_ms)"
 ./build/tools/hds_lint --stale-suppressions src tools bench tests
-LINT_END="$(now_ms)"
 echo "hds_lint: clean"
-
-# Machine-readable timing for the results pipeline: hds_matrix embeds
-# this file under "timing.lint" when invoked with --lint-timing.
-printf '{"schema": "hds-lint-timing-v1", "lint_ms": %s}\n' \
-  "$(( LINT_END - LINT_START ))" > build/lint_timing.json
 
 if [ "$LINT_ONLY" = 1 ]; then
   exit 0

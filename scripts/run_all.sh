@@ -19,8 +19,6 @@ cmake --build build -j"$JOBS"
 
 ctest --test-dir build --output-on-failure -j"$JOBS" 2>&1 | tee test_output.txt
 
-# Lint pass, timed: scripts/lint.sh leaves build/lint_timing.json behind
-# for the matrix run to embed.
 scripts/lint.sh --lint-only
 
 ./build/tools/hds_matrix \
@@ -28,7 +26,6 @@ scripts/lint.sh --lint-only
   --scale "$SCALE" \
   --seeds 2 \
   --timing \
-  --lint-timing build/lint_timing.json \
   --out BENCH_matrix.json 2>&1 | tee bench_output.txt
 
 echo "matrix results: BENCH_matrix.json"

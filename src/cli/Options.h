@@ -101,8 +101,8 @@ private:
   std::vector<Option> Table;
 };
 
-/// Registers the five hardware-prefetcher flags (--stride --markov
-/// --stream --pair --duel), each enabling one Prefetcher::Kind in
+/// Registers the four hardware-prefetcher flags (--stride --markov
+/// --stream --pair), each enabling one Prefetcher::Kind in
 /// \p Selection.  Flag spellings come from Prefetcher::kindToken, so
 /// the CLI can never drift from the zoo roster.
 void addPrefetcherFlags(OptionSet &Opts,
@@ -113,7 +113,7 @@ void addPrefetcherFlags(OptionSet &Opts,
 inline constexpr const char *TunedFlag = "--adaptive";
 void addTunedFlag(OptionSet &Opts, bool &Tuned);
 
-/// " [--stride] [--markov] [--stream] [--pair] [--duel]" — the usage
+/// " [--stride] [--markov] [--stream] [--pair]" — the usage
 /// fragment for addPrefetcherFlags, generated from the roster.
 std::string prefetcherFlagsUsage();
 

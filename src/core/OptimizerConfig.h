@@ -182,8 +182,7 @@ struct OptimizerConfig {
   CostModel Costs;
 
   /// Orthogonal hardware prefetcher stack (works in any mode): which
-  /// members of the prefetcher zoo observe the demand stream, plus the
-  /// dueling selector that picks a winner per hot address region.  The
+  /// members of the prefetcher zoo observe the demand stream.  The
   /// stride prefetcher is the paper's suggested complement ("could
   /// complement our scheme by prefetching data address sequences that do
   /// not qualify as hot data streams", §4.3); Markov is the hardware

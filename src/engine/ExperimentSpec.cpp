@@ -165,13 +165,8 @@ bool hds::engine::applyFilter(std::vector<ExperimentSpec> &Specs,
                  prefetch::PrefetcherSelection::tokenList() + ")";
       return false;
     }
-    Keep([&](const ExperimentSpec &S) {
-      // The named prefetcher, enabled alone (duel cells enable only
-      // Duel; the roster defaults to all four candidates).
-      if (Kind == prefetch::Prefetcher::Duel)
-        return S.Prefetchers.has(prefetch::Prefetcher::Duel);
-      return S.Prefetchers.only(Kind);
-    });
+    // The named prefetcher, enabled alone.
+    Keep([&](const ExperimentSpec &S) { return S.Prefetchers.only(Kind); });
     return true;
   }
   if (Key == "tuning") {

@@ -51,10 +51,8 @@ struct ExperimentSpec {
   /// Prefix-match head length (Section 4.3; default 2).
   uint32_t HeadLength = 2;
   /// Orthogonal hardware prefetcher zoo (src/prefetch): any subset may
-  /// ride along in any mode.  Duel wraps the enabled subset (or, when
-  /// fewer than two others are enabled, all four) in the per-region
-  /// dueling selector.  One selection value replaces the old per-kind
-  /// booleans; the legacy stride/markov/... identity fields in the
+  /// ride along in any mode.  One selection value replaces the old
+  /// per-kind booleans; the legacy stride/markov/... identity fields in the
   /// results JSON are derived from it unchanged.
   prefetch::PrefetcherSelection Prefetchers;
   /// Static-scheme model: pin the first successful optimization.
@@ -77,7 +75,7 @@ struct ExperimentSpec {
 /// The default matrix at \p Scale: every workload (paper figure order) ×
 /// every RunMode — the cells behind Figures 11 and 12 plus their
 /// Original baselines — followed by one Original-mode cell per workload
-/// per hardware prefetcher (stride, markov, stream, pair, duel), the
+/// per hardware prefetcher (stride, markov, stream, pair), the
 /// Figure-12-style hardware comparison bars, followed by the closed-loop
 /// tuning cells (dynpref plus the tunable zoo engines, Tuned set).
 std::vector<ExperimentSpec> defaultMatrix(double Scale = 1.0);

@@ -676,8 +676,7 @@ void readSpec(ObjectReader &Cell, ExperimentSpec &Spec) {
   }
   // The per-kind identity fields, in Prefetcher::Kind order.
   static constexpr const char *KindFields[] = {"stride", "markov",
-                                               "stream_pf", "pair_pf",
-                                               "duel_pf"};
+                                               "stream_pf", "pair_pf"};
   static_assert(std::size(KindFields) ==
                 prefetch::PrefetcherSelection::NumKinds);
   for (unsigned I = 0; I < prefetch::PrefetcherSelection::NumKinds; ++I) {
@@ -685,6 +684,11 @@ void readSpec(ObjectReader &Cell, ExperimentSpec &Spec) {
     Cell.boolean(KindFields[I], Enabled);
     Spec.Prefetchers.set(static_cast<prefetch::Prefetcher::Kind>(I), Enabled);
   }
+  // Written as a constant false since the dueling selector was removed;
+  // documents from before then may also omit it.
+  if (const JsonValue *Duel = Cell.take("duel_pf", Kind::Bool, true);
+      Duel && Duel->BoolValue)
+    Cell.fail("duel_pf is true, but the dueling selector was removed");
   Cell.boolean("pin", Spec.Pin);
   Cell.boolean("adaptive", Spec.Adaptive);
   Cell.boolean("tuned", Spec.Tuned);

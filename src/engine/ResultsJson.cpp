@@ -93,12 +93,6 @@ public:
     field(Key, Value ? "true" : "false");
   }
 
-  /// Embeds \p Raw verbatim as the value of \p Key (caller guarantees it
-  /// is well-formed JSON).
-  void fieldRaw(const char *Key, const std::string &Raw) {
-    field(Key, Raw);
-  }
-
 private:
   void open(const char *Key, char Bracket) {
     comma();
@@ -166,7 +160,9 @@ void emitResult(JsonBuilder &Json, const RunResult &Result,
                  Spec.Prefetchers.has(prefetch::Prefetcher::Stream));
   Json.fieldBool("pair_pf",
                  Spec.Prefetchers.has(prefetch::Prefetcher::PairTable));
-  Json.fieldBool("duel_pf", Spec.Prefetchers.has(prefetch::Prefetcher::Duel));
+  // The dueling selector is gone, but perfbench/run.py still selects its
+  // reference cells by "duel_pf" == false, so every cell keeps the field.
+  Json.fieldBool("duel_pf", false);
   // Appended (append-only schema growth): closed-loop tuning axis.
   Json.fieldBool("tuned", Spec.Tuned);
   Json.fieldString("status", statusName(Result.State));
@@ -288,14 +284,10 @@ std::string hds::engine::resultsToJson(const std::vector<RunResult> &Results,
                Timing.IncludePerResult);
   Json.close(']');
 
-  if (Timing.IncludeWall || !Timing.LintJson.empty()) {
+  if (Timing.IncludeWall) {
     Json.openObject("timing");
-    if (Timing.IncludeWall) {
-      Json.field("wall_ms", Timing.WallMillis);
-      Json.field("jobs", uint64_t{Timing.Jobs});
-    }
-    if (!Timing.LintJson.empty())
-      Json.fieldRaw("lint", Timing.LintJson);
+    Json.field("wall_ms", Timing.WallMillis);
+    Json.field("jobs", uint64_t{Timing.Jobs});
     Json.close('}');
   }
 

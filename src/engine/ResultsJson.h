@@ -42,9 +42,6 @@ struct TimingInfo {
   /// object (the BENCH_matrix.json shape written by tools/hds_bench).
   /// Off by default so plain matrix output stays byte-deterministic.
   bool IncludePerResult = false;
-  /// Raw JSON value embedded verbatim as "lint" (the lint_timing.json
-  /// written by scripts/lint.sh).  Empty = omitted.
-  std::string LintJson;
 };
 
 /// Serializes \p Results (spec order) to a JSON document.  Overhead

@@ -165,10 +165,10 @@ public:
   /// Between access() returning it and fillMiss() consuming it, the set
   /// must see no fill, access or touch of this cache (reads such as
   /// contains() are fine; other sets and other caches are unaffected).
-  /// MemoryHierarchy::access keeps the contract by construction: the only
-  /// call between its probe and its fill is the listener's
-  /// onPrefetchUseful, which observes only.  slotValid() checks it, and
-  /// fillMiss() asserts it in debug builds.
+  /// MemoryHierarchy::access keeps the contract by construction: nothing
+  /// between its probe and its fill touches a cache (the useful-prefetch
+  /// bookkeeping only counts).  slotValid() checks it, and fillMiss()
+  /// asserts it in debug builds.
   struct MissSlot {
     uint64_t Base = 0; ///< the set's first tag slot in Lines
     Addr Tag = 0;      ///< encoded tag of the missing block

@@ -20,11 +20,9 @@ MemoryHierarchy::MemoryHierarchy(const CacheConfig &L1Config,
   InFlightMeta.reserve(Latency.MaxInFlightPrefetches);
 }
 
-void MemoryHierarchy::recordUseful(Addr Address, uint32_t StreamTag) {
+void MemoryHierarchy::recordUseful(uint32_t StreamTag) {
   ++Stats.PrefetchesUseful;
   ++bucket(StreamTag).Useful;
-  if (Listener)
-    Listener->onPrefetchUseful(Address, StreamTag);
 }
 
 uint64_t MemoryHierarchy::waitForInFlight(Addr Address, size_t P) {
@@ -33,8 +31,6 @@ uint64_t MemoryHierarchy::waitForInFlight(Addr Address, size_t P) {
   const uint64_t Remaining = InFlightReady[P] - Account.total();
   ++Stats.PartialHits;
   ++bucket(inFlightTag(P)).Late;
-  if (Listener)
-    Listener->onPrefetchLate(Address, inFlightTag(P));
   charge(Remaining, Remaining, /*PartialHit=*/true);
   drainDuePrefetches(); // fills this block (and any other due ones)
   // The arriving line counts as a useful prefetch in the cache-level
@@ -45,12 +41,9 @@ uint64_t MemoryHierarchy::waitForInFlight(Addr Address, size_t P) {
   return Remaining + Latency.L1HitCycles;
 }
 
-void MemoryHierarchy::recordEviction(Cache::EvictInfo Evicted) {
+void MemoryHierarchy::recordEviction(uint32_t StreamTag) {
   ++Stats.PrefetchesUnusedEvicted;
-  ++bucket(Evicted.EvictedStreamTag).UnusedEvicted;
-  if (Listener)
-    Listener->onPrefetchEvicted(Evicted.EvictedBlockAddr,
-                                Evicted.EvictedStreamTag);
+  ++bucket(StreamTag).UnusedEvicted;
 }
 
 void MemoryHierarchy::drainDuePrefetchesSlow() {
@@ -73,7 +66,7 @@ void MemoryHierarchy::drainDuePrefetchesSlow() {
       const Cache::EvictInfo Evicted =
           L1.fill(BlockAddr, /*IsPrefetch=*/true, StreamTag);
       if (Evicted.EvictedUntouchedPrefetch)
-        recordEviction(Evicted);
+        recordEviction(Evicted.EvictedStreamTag);
       if (inFlightFillsL2(I))
         L2.fill(BlockAddr, /*IsPrefetch=*/true, StreamTag);
       if (Listener) {

@@ -109,18 +109,14 @@ void visitHierarchyStatsMetrics(HierarchyStatsT &&Stats, Fn &&Visit) {
 
 class MemoryHierarchy;
 
-/// Observer of prefetch lifecycle events, for engines that react to what
-/// their (or their rivals') prefetches achieved — the prefetcher zoo's
-/// fill-chaining and the dueling selector's scoring (src/prefetch/).
+/// Observer of completed prefetch fills, for engines that chain: the
+/// prefetcher zoo extends its runs when a prefetched block lands
+/// (src/prefetch/).
 ///
-/// Callbacks fire synchronously at the classification points of the
-/// simulation, so they see a consistent machine state; all of them sit
-/// on rare paths (prefetch hits, partial hits, pollution evictions,
-/// completed fills), never on the pure-hit fast path.  Only
-/// onPrefetchFill may issue follow-up prefetches — it is delivered after
-/// the in-flight queue has been compacted; the others observe only.
-/// MemoryHierarchy::access relies on that: onPrefetchUseful runs between
-/// the L1 probe and the L1 fill into the slot that probe found.
+/// The callback fires from the drain, after the in-flight queue has been
+/// compacted, so it sees a consistent machine state and may issue
+/// follow-up prefetches.  It never runs inside MemoryHierarchy::access
+/// between the L1 probe and the L1 fill.
 class PrefetchListener {
 public:
   virtual ~PrefetchListener() = default;
@@ -128,14 +124,6 @@ public:
   /// A prefetched block finished filling (tag as passed to prefetchT0).
   virtual void onPrefetchFill(Addr BlockAddr, uint32_t StreamTag,
                               MemoryHierarchy &Hierarchy) = 0;
-  /// A demand access hit a prefetched-untouched line (the "useful"
-  /// class); \p Address is the demand address.
-  virtual void onPrefetchUseful(Addr Address, uint32_t StreamTag) = 0;
-  /// A demand access stalled on a block still in flight (the "late"
-  /// class); \p Address is the demand address.
-  virtual void onPrefetchLate(Addr Address, uint32_t StreamTag) = 0;
-  /// A prefetched line was evicted from L1 untouched (pollution).
-  virtual void onPrefetchEvicted(Addr BlockAddr, uint32_t StreamTag) = 0;
 };
 
 /// Two-level hierarchy with a global cycle clock.
@@ -183,7 +171,7 @@ public:
     Cache::MissSlot L1Slot;
     if (L1.access(Address, &L1Info, &L1Slot)) {
       if (L1Info.PrefetchHit) [[unlikely]]
-        recordUseful(Address, L1Info.StreamTag);
+        recordUseful(L1Info.StreamTag);
       charge(Latency.L1HitCycles, 0);
       return Latency.L1HitCycles;
     }
@@ -195,12 +183,12 @@ public:
 
     // L2 hit: fill L1 and pay the L2 latency.  A prefetched-untouched L2
     // line is likewise a useful prefetch (it halved the miss latency).
-    // recordUseful only observes, so L1Slot is still valid for the fill.
+    // recordUseful only counts, so L1Slot is still valid for the fill.
     Cache::AccessInfo L2Info;
     Cache::MissSlot L2Slot;
     if (L2.access(Address, &L2Info, &L2Slot)) {
       if (L2Info.PrefetchHit) [[unlikely]]
-        recordUseful(Address, L2Info.StreamTag);
+        recordUseful(L2Info.StreamTag);
       fillL1(L1Slot);
       charge(Latency.L2HitCycles, Latency.L2HitCycles - Latency.L1HitCycles);
       return Latency.L2HitCycles;
@@ -233,7 +221,7 @@ public:
   /// The attributed cycle account behind the clock.
   const obs::CycleAccount &account() const { return Account; }
 
-  /// Installs (or clears, with null) the prefetch lifecycle observer.
+  /// Installs (or clears, with null) the prefetch fill observer.
   /// Not owned; must outlive the hierarchy or be cleared first.
   void setListener(PrefetchListener *L) { Listener = L; }
 
@@ -284,12 +272,12 @@ private:
   [[gnu::always_inline]] void fillL1(const Cache::MissSlot &Slot) {
     const Cache::EvictInfo Evicted = L1.fillMiss(Slot);
     if (Evicted.EvictedUntouchedPrefetch) [[unlikely]]
-      recordEviction(Evicted);
+      recordEviction(Evicted.EvictedStreamTag);
   }
 
   /// Books one demand hit on a prefetched-untouched line (the "useful"
-  /// class): counter, per-stream bucket, and the listener.
-  void recordUseful(Addr Address, uint32_t StreamTag);
+  /// class): counter and per-stream bucket.
+  void recordUseful(uint32_t StreamTag);
 
   /// The partial-hit path of access(): the block of \p Address is in
   /// flight at queue index \p P.  Books the late prefetch, waits out the
@@ -297,14 +285,11 @@ private:
   /// access latency.
   uint64_t waitForInFlight(Addr Address, size_t P);
 
-  /// Books one untouched-prefetch eviction: counters, per-stream bucket,
-  /// and the listener's pollution feedback.  The rarest of the three
-  /// rare paths (at most 13% of the accesses of any matrix cell, against
-  /// 45% for useful and 41% for partial hits), and the only one marked
-  /// cold.  Which members carry the attribute moves perfbench's host
-  /// probe in 16-byte steps; see docs/benchmarks.md, "Host-probe
-  /// alignment".
-  [[gnu::cold]] void recordEviction(Cache::EvictInfo Evicted);
+  /// Books one untouched-prefetch eviction: counter and per-stream
+  /// bucket.  None of the three rare paths is marked cold: which members
+  /// carry the attribute moves perfbench's host probe in 16-byte steps;
+  /// see docs/benchmarks.md, "Host-probe alignment".
+  void recordEviction(uint32_t StreamTag);
 
   /// Classification bucket for \p StreamTag (grown on demand).
   obs::PrefetchClassCounts &bucket(uint32_t StreamTag) {

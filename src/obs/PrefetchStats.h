@@ -147,9 +147,7 @@ void visitStreamPrefetchStatsMetrics(StreamPrefetchStatsT &&Stats,
 /// wire/JSON "prefetchers" block (src/prefetch/).  Classification
 /// counters are joined from the hierarchy's per-tag buckets exactly like
 /// the per-stream rows above; Trains counts table updates inside the
-/// prefetcher itself.  SelectedRegions / SampledEpochs are only non-zero
-/// under the dueling selector: regions this candidate won, and epochs it
-/// was the sampled issuer.
+/// prefetcher itself.
 struct PrefetcherStats {
   /// prefetch::Prefetcher::Kind of the row's prefetcher.
   uint64_t Kind = 0;
@@ -163,8 +161,6 @@ struct PrefetcherStats {
   uint64_t Redundant = 0;
   uint64_t DroppedQueueFull = 0;
   uint64_t UnusedEvicted = 0;
-  uint64_t SelectedRegions = 0;
-  uint64_t SampledEpochs = 0;
   /// Degree at end of run: the closed-loop tuner's settled value, or the
   /// engine's configured constant when tuning is off.
   uint64_t FinalDegree = 0;
@@ -200,14 +196,6 @@ void visitPrefetcherStatsMetrics(PrefetcherStatsT &&Stats, Fn &&Visit) {
   Visit(MetricDef{"unused_evicted", "prefetches",
                   "prefetched lines evicted from L1 before any use"},
         Stats.UnusedEvicted);
-  Visit(MetricDef{"selected_regions", "count",
-                  "dueling regions whose converged winner is this candidate",
-                  MetricKind::Gauge},
-        Stats.SelectedRegions);
-  Visit(MetricDef{"sampled_epochs", "count",
-                  "dueling epochs in which this candidate was the issuer",
-                  MetricKind::Gauge},
-        Stats.SampledEpochs);
   Visit(MetricDef{"final_degree", "prefetches",
                   "prefetch degree at end of run (tuned or static)",
                   MetricKind::Gauge},

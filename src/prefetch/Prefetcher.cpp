@@ -6,19 +6,8 @@
 
 #include "prefetch/Prefetcher.h"
 
-#include "obs/PrefetchStats.h"
-
 using namespace hds;
 using namespace hds::prefetch;
-
-void Prefetcher::appendStats(std::vector<obs::PrefetcherStats> &Rows) const {
-  obs::PrefetcherStats Row;
-  Row.Kind = WhichKind;
-  Row.Tag = Tag;
-  Row.Trains = Trains;
-  Row.Issued = Issued;
-  Rows.push_back(Row);
-}
 
 const char *Prefetcher::kindToken(Kind K) {
   // hds-exhaustive (unqualified class-scope dispatch, lint rule E1)
@@ -31,31 +20,12 @@ const char *Prefetcher::kindToken(Kind K) {
     return "stream";
   case PairTable:
     return "pair";
-  case Duel:
-    return "duel";
-  }
-  return "unknown";
-}
-
-const char *Prefetcher::kindName(Kind K) {
-  // hds-exhaustive (unqualified class-scope dispatch, lint rule E1)
-  switch (K) {
-  case Stride:
-    return "Stride";
-  case Markov:
-    return "Markov";
-  case Stream:
-    return "Stream";
-  case PairTable:
-    return "Pair-table";
-  case Duel:
-    return "Duel";
   }
   return "unknown";
 }
 
 bool Prefetcher::parseKindToken(const std::string &Token, Kind &K) {
-  static const Kind All[] = {Stride, Markov, Stream, PairTable, Duel};
+  static const Kind All[] = {Stride, Markov, Stream, PairTable};
   for (Kind Candidate : All)
     if (Token == kindToken(Candidate)) {
       K = Candidate;

@@ -10,9 +10,9 @@
 /// The paper compares its DFSM-injected hot-stream prefetching against
 /// hardware techniques only in prose (Section 5.1); this subsystem makes
 /// the comparison runnable.  Every prefetcher is an object behind one
-/// interface — `onAccess` / `onMiss` observe the demand stream, `onFill` /
-/// `onEvict` observe prefetch completions and pollution (delivered via
-/// memsim::PrefetchListener) — and issues through
+/// interface — `onAccess` / `onMiss` observe the demand stream, `onFill`
+/// observes prefetch completions (delivered via memsim::PrefetchListener)
+/// — and issues through
 /// `MemoryHierarchy::prefetchT0` under its own reserved stream tag, so
 /// the obs classification machinery (useful / late / redundant / dropped /
 /// unused-evicted, obs/PrefetchStats.h) attributes every event to the
@@ -39,7 +39,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 namespace hds {
 namespace prefetch {
@@ -63,8 +62,7 @@ struct AccessEvent {
 /// table trains on every access (onAccess), correlation tables train on
 /// the miss stream (onMiss), and chaining prefetchers extend their runs
 /// when a prefetched block lands (onFill).  All issuing funnels through
-/// issue(), which applies the dueling selector's gate and the
-/// per-prefetcher tag.
+/// issue(), which applies the per-prefetcher tag.
 class Prefetcher {
 public:
   /// The zoo roster.  Unscoped on purpose: dispatch inside this class
@@ -78,7 +76,6 @@ public:
     Markov = 1,    ///< miss-digram correlation table (Joseph & Grunwald)
     Stream = 2,    ///< confidence-counter stream detector (next-N-blocks)
     PairTable = 3, ///< bounded temporal pair table (Pangloss / Triangel)
-    Duel = 4,      ///< online per-region dueling selector over candidates
   };
 
   Prefetcher(Kind KindIn, uint32_t TagIn) : WhichKind(KindIn), Tag(TagIn) {}
@@ -91,9 +88,8 @@ public:
   /// The stream tag this prefetcher issues under.
   uint32_t tag() const { return Tag; }
 
-  /// CLI token ("stride", "markov", ...) and report name for \p K.
+  /// CLI and report token ("stride", "markov", ...) for \p K.
   static const char *kindToken(Kind K);
-  static const char *kindName(Kind K);
   /// Parses a CLI token; returns false on unknown input.
   static bool parseKindToken(const std::string &Token, Kind &K);
 
@@ -116,27 +112,11 @@ public:
     (void)BlockAddr;
     (void)Hierarchy;
   }
-  /// A line prefetched under this prefetcher's tag was evicted from L1
-  /// before any demand touch (pollution feedback).
-  virtual void onEvict(memsim::Addr BlockAddr) { (void)BlockAddr; }
-
   /// Drops all learned state and counters (fresh machine).
   virtual void reset() {
     Trains = 0;
     Issued = 0;
   }
-
-  /// Appends this prefetcher's report row(s): identity plus the local
-  /// train/issue counters.  Classification counters stay zero here — the
-  /// stack joins them from the hierarchy's per-tag buckets.  The dueling
-  /// selector overrides to add one row per candidate.
-  virtual void appendStats(std::vector<obs::PrefetcherStats> &Rows) const;
-
-  /// Whether issue() currently reaches the hierarchy.  The dueling
-  /// selector trains every candidate all the time but lets only the
-  /// sampled (or converged) one issue.
-  bool issueEnabled() const { return IssueEnabled; }
-  void setIssueEnabled(bool Enabled) { IssueEnabled = Enabled; }
 
   /// Attaches (or detaches, with null) the closed-loop tuner.  Engines
   /// with a degree knob consult it through effectiveDegree() /
@@ -158,19 +138,15 @@ public:
 
   /// Training updates performed (table writes), for the stats row.
   uint64_t trains() const { return Trains; }
-  /// Prefetches this object pushed through issue() while enabled.
+  /// Prefetches this object pushed through issue().
   uint64_t issued() const { return Issued; }
 
 protected:
   /// Issues a hardware prefetch for \p Target under this prefetcher's
-  /// tag, spending no instruction issue slot.  Gated by the selector's
-  /// enable bit; returns true when the issue reached the hierarchy.
-  bool issue(memsim::Addr Target, memsim::MemoryHierarchy &Hierarchy) {
-    if (!IssueEnabled)
-      return false;
+  /// tag, spending no instruction issue slot.
+  void issue(memsim::Addr Target, memsim::MemoryHierarchy &Hierarchy) {
     Hierarchy.prefetchT0(Target, /*ChargeIssueSlot=*/false, Tag);
     ++Issued;
-    return true;
   }
 
   /// Bumps the training counter (call once per table update).
@@ -190,7 +166,6 @@ protected:
 private:
   Kind WhichKind;
   uint32_t Tag;
-  bool IssueEnabled = true;
   uint64_t Trains = 0;
   uint64_t Issued = 0;
   TuningPolicy *Tuner = nullptr;

@@ -132,16 +132,16 @@ std::string hds::replay::serializeTrace(const Trace &T) {
   Out.push_back(static_cast<char>(T.Meta.Mode));
   putVarint(Out, T.Meta.HeadLength);
   // The flags byte keeps the original per-kind bit layout (stride=1,
-  // markov=2, pin=4, stream=8, pair=16, duel=32) so version-1 traces
-  // recorded before PrefetcherSelection existed read back unchanged.
+  // markov=2, pin=4, stream=8, pair=16) so version-1 traces recorded
+  // before PrefetcherSelection existed read back unchanged.  Bit 32 was
+  // the removed dueling selector; the reader rejects it.
   using prefetch::Prefetcher;
   const uint8_t Flags =
       (T.Meta.Prefetchers.has(Prefetcher::Stride) ? 1 : 0) |
       (T.Meta.Prefetchers.has(Prefetcher::Markov) ? 2 : 0) |
       (T.Meta.Pin ? 4 : 0) |
       (T.Meta.Prefetchers.has(Prefetcher::Stream) ? 8 : 0) |
-      (T.Meta.Prefetchers.has(Prefetcher::PairTable) ? 16 : 0) |
-      (T.Meta.Prefetchers.has(Prefetcher::Duel) ? 32 : 0);
+      (T.Meta.Prefetchers.has(Prefetcher::PairTable) ? 16 : 0);
   Out.push_back(static_cast<char>(Flags));
 
   putVarint(Out, T.Events.size());
@@ -213,15 +213,20 @@ bool hds::replay::deserializeTrace(const std::string &Bytes, Trace &Out,
   Out.Meta.Mode = static_cast<core::RunMode>(Mode);
   Out.Meta.HeadLength = static_cast<uint32_t>(In.takeVarint());
   const uint64_t Flags = In.takeVarint();
+  if (In.failed())
+    return fail(Error, "truncated trace meta");
+  if (Flags & 32)
+    return fail(Error, "trace enables the dueling selector (flag 32), "
+                       "which was removed");
+  if (Flags > 63)
+    return fail(Error, formatString("unknown flag bits 0x%llx in trace meta",
+                                    (unsigned long long)(Flags & ~63ull)));
   using prefetch::Prefetcher;
   Out.Meta.Prefetchers.set(Prefetcher::Stride, (Flags & 1) != 0);
   Out.Meta.Prefetchers.set(Prefetcher::Markov, (Flags & 2) != 0);
   Out.Meta.Pin = (Flags & 4) != 0;
   Out.Meta.Prefetchers.set(Prefetcher::Stream, (Flags & 8) != 0);
   Out.Meta.Prefetchers.set(Prefetcher::PairTable, (Flags & 16) != 0);
-  Out.Meta.Prefetchers.set(Prefetcher::Duel, (Flags & 32) != 0);
-  if (In.failed())
-    return fail(Error, "truncated trace meta");
 
   const uint64_t EventCount = In.takeVarint();
   if (In.failed())

@@ -17,6 +17,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -174,14 +176,38 @@ TEST(CliVocabulary, PrefetcherFlagsCoverTheRoster) {
   OptionSet Set([] { FAIL() << "usage must not fire"; });
   addPrefetcherFlags(Set, Selection);
 
-  parseArgs(Set, {"--stride", "--duel"});
+  parseArgs(Set, {"--stride", "--pair"});
   EXPECT_TRUE(Selection.has(prefetch::Prefetcher::Stride));
-  EXPECT_TRUE(Selection.has(prefetch::Prefetcher::Duel));
+  EXPECT_TRUE(Selection.has(prefetch::Prefetcher::PairTable));
   EXPECT_FALSE(Selection.has(prefetch::Prefetcher::Markov));
-  EXPECT_EQ(Selection.token(), "stride+duel");
+  EXPECT_EQ(Selection.token(), "stride+pair");
 
-  parseArgs(Set, {"--markov", "--stream", "--pair"});
+  parseArgs(Set, {"--markov", "--stream"});
   EXPECT_EQ(Selection.count(), prefetch::PrefetcherSelection::NumKinds);
+}
+
+TEST(CliVocabularyDeathTest, RemovedDuelSpellingsAreUsageErrors) {
+  // hds_run --duel: an unknown flag, so it reaches the tool's usage
+  // handler, which (like hds_run's) prints the usage and exits 1.
+  prefetch::PrefetcherSelection Selection;
+  OptionSet Set([] {
+    std::fprintf(stderr, "usage: test-tool\n");
+    std::exit(1);
+  });
+  addPrefetcherFlags(Set, Selection);
+  EXPECT_EXIT(parseArgs(Set, {"--duel"}), testing::ExitedWithCode(1),
+              "usage: test-tool");
+
+  // hds_matrix --filter prefetcher=duel: an unknown prefetcher, which
+  // hds_matrix prints as "error: ..." and exits 2 on.
+  std::vector<engine::ExperimentSpec> Specs = engine::defaultMatrix(0.02);
+  const size_t Before = Specs.size();
+  std::string ShardTag, Error;
+  EXPECT_FALSE(
+      engine::applyFilters(Specs, {"prefetcher=duel"}, ShardTag, &Error));
+  EXPECT_EQ(Error, "unknown prefetcher 'duel' (expected "
+                   "none|stride|markov|stream|pair)");
+  EXPECT_EQ(Specs.size(), Before);
 }
 
 TEST(CliVocabulary, TunedFlagIsDefinedOnce) {
@@ -195,13 +221,13 @@ TEST(CliVocabulary, TunedFlagIsDefinedOnce) {
 
 TEST(CliVocabulary, UsageFragmentsComeFromSharedTokenLists) {
   EXPECT_EQ(prefetcherFlagsUsage(),
-            " [--stride] [--markov] [--stream] [--pair] [--duel]");
+            " [--stride] [--markov] [--stream] [--pair]");
   EXPECT_EQ(core::runModeTokenList(),
             "original|base|prof|hds|nopref|seqpref|dynpref");
   // The filter help every tool prints must name the spec axes (the
   // usage-parity ctest greps tool output for the same strings).
   const std::string Help = engine::filterHelp();
-  EXPECT_NE(Help.find("prefetcher=<none|stride|markov|stream|pair|duel>"),
+  EXPECT_NE(Help.find("prefetcher=<none|stride|markov|stream|pair>"),
             std::string::npos);
   EXPECT_NE(Help.find("tuning=<adaptive|fixed>"), std::string::npos);
   EXPECT_NE(Help.find("mode=<original|base|prof|hds|nopref|seqpref|dynpref>"),

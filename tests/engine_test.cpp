@@ -441,12 +441,10 @@ TEST(ResultsJson, TimingObjectOnlyAppearsOnRequest) {
   Timing.IncludeWall = true;
   Timing.WallMillis = 1234;
   Timing.Jobs = 8;
-  Timing.LintJson = "{\"total_ms\": 7}";
   const std::string Json = resultsToJson(Results, Timing);
   EXPECT_NE(Json.find("\"timing\""), std::string::npos);
   EXPECT_NE(Json.find("\"wall_ms\": 1234"), std::string::npos);
   EXPECT_NE(Json.find("\"jobs\": 8"), std::string::npos);
-  EXPECT_NE(Json.find("\"total_ms\": 7"), std::string::npos);
 }
 
 TEST(ResultsJson, EscapesControlAndQuoteCharacters) {
@@ -647,6 +645,34 @@ TEST(ResultsMerge, MalformedDocumentsAreRejectedWithAReason) {
     EXPECT_FALSE(decodeResults(Json, Out, Error)) << Name;
     EXPECT_FALSE(Error.empty()) << Name;
   }
+}
+
+TEST(ResultsMerge, DuelSelectorCellsAreRejectedByName) {
+  // The dueling selector is gone: every cell carries "duel_pf": false,
+  // documents without the field still decode, and a true one is refused.
+  const std::string Doc = shardJson(smallMatrix(), 0, 3);
+  const std::string False = "\"duel_pf\": false";
+  ASSERT_NE(Doc.find(False), std::string::npos);
+  ResultsDocument Out;
+  std::string Error;
+
+  // Drop every "duel_pf" line (the field is never a cell's last).
+  std::string Absent = Doc;
+  const std::string Line = False + ",\n";
+  for (std::size_t At; (At = Absent.find(Line)) != std::string::npos;) {
+    const std::size_t LineStart = Absent.rfind('\n', At) + 1;
+    Absent.erase(LineStart, At + Line.size() - LineStart);
+  }
+  ASSERT_EQ(Absent.find("duel_pf"), std::string::npos);
+  ASSERT_TRUE(decodeResults(Absent, Out, Error)) << Error;
+  EXPECT_EQ(resultsToJson(Out.Results, TimingInfo(), "0/3"), Doc);
+
+  std::string True = Doc;
+  True.replace(True.find(False), False.size(), "\"duel_pf\": true");
+  Error.clear();
+  EXPECT_FALSE(decodeResults(True, Out, Error));
+  EXPECT_NE(Error.find("dueling selector was removed"), std::string::npos)
+      << Error;
 }
 
 TEST(ResultsMerge, SeededByteMutationsNeverCrashTheDecoder) {

@@ -334,33 +334,39 @@ TEST(PrefetchClassTest, CycleAccountPartitionsTheHierarchyClock) {
   EXPECT_EQ(B.PureCompute, 31u);
 }
 
-/// Logs every listener callback as "<event> <address> <stream tag>".
-class CallbackLog : public PrefetchListener {
+/// Logs every completed fill as "fill <address> <stream tag>".
+class FillLog : public PrefetchListener {
 public:
   std::vector<std::string> Events;
 
   void onPrefetchFill(Addr BlockAddr, uint32_t StreamTag,
                       MemoryHierarchy &) override {
-    log("fill", BlockAddr, StreamTag);
-  }
-  void onPrefetchUseful(Addr Address, uint32_t StreamTag) override {
-    log("useful", Address, StreamTag);
-  }
-  void onPrefetchLate(Addr Address, uint32_t StreamTag) override {
-    log("late", Address, StreamTag);
-  }
-  void onPrefetchEvicted(Addr BlockAddr, uint32_t StreamTag) override {
-    log("evicted", BlockAddr, StreamTag);
-  }
-
-private:
-  void log(const char *Event, Addr Address, uint32_t StreamTag) {
     std::ostringstream Line;
-    Line << Event << " 0x" << std::hex << Address << std::dec << " "
+    Line << "fill 0x" << std::hex << BlockAddr << std::dec << " "
          << StreamTag;
     Events.push_back(Line.str());
   }
 };
+
+/// The useful (u), late (l) and unused-evicted (e) counts of every
+/// non-empty per-stream bucket, as space-separated "<tag>:u1e1" terms.
+std::string classCounts(const MemoryHierarchy &M) {
+  std::ostringstream Out;
+  const std::vector<obs::PrefetchClassCounts> &Buckets = M.streamClasses();
+  for (size_t Tag = 0; Tag < Buckets.size(); ++Tag) {
+    const obs::PrefetchClassCounts &B = Buckets[Tag];
+    if (B.Useful + B.Late + B.UnusedEvicted == 0)
+      continue;
+    Out << (Out.tellp() > 0 ? " " : "") << Tag << ':';
+    if (B.Useful)
+      Out << 'u' << B.Useful;
+    if (B.Late)
+      Out << 'l' << B.Late;
+    if (B.UnusedEvicted)
+      Out << 'e' << B.UnusedEvicted;
+  }
+  return Out.str();
+}
 
 TEST(PrefetchClassTest, DemandPathColdPathsReportInOrder) {
   // Every out-of-line branch of MemoryHierarchy::access in one run: L1
@@ -368,28 +374,31 @@ TEST(PrefetchClassTest, DemandPathColdPathsReportInOrder) {
   // partial hit.  Tiny 2-way L1 (4 sets); every address maps to set 0.
   MemoryHierarchy M(CacheConfig{256, 2, 32}, CacheConfig::pentiumIIIL2(),
                     testLatency());
-  CallbackLog Log;
+  FillLog Log;
   M.setListener(&Log);
 
   M.prefetchT0(0x0, /*ChargeIssueSlot=*/true, /*StreamTag=*/3);
   M.tick(200);
   EXPECT_EQ(M.access(0x0), 1u); // L1 hit on the untouched prefetch
+  EXPECT_EQ(classCounts(M), "3:u1");
 
   M.prefetchT0(0x400, /*ChargeIssueSlot=*/true, /*StreamTag=*/4);
   M.tick(200);
   EXPECT_EQ(M.access(0x480), 100u); // evicts 0x0 (demand-touched)
+  EXPECT_EQ(classCounts(M), "3:u1");
   EXPECT_EQ(M.access(0x500), 100u); // evicts 0x400, untouched
+  EXPECT_EQ(classCounts(M), "3:u1 4:e1");
   EXPECT_EQ(M.access(0x400), 14u);  // L2 hit on the untouched prefetch
+  EXPECT_EQ(classCounts(M), "3:u1 4:u1e1");
 
   M.prefetchT0(0x2000, /*ChargeIssueSlot=*/true, /*StreamTag=*/5);
   M.tick(40);
   EXPECT_EQ(M.access(0x2000), 61u); // waits out 60 of its 100 cycles
+  EXPECT_EQ(classCounts(M), "3:u1 4:u1e1 5:l1");
   M.setListener(nullptr);
 
-  const std::vector<std::string> Expected = {
-      "fill 0x0 3",       "useful 0x0 3",   "fill 0x400 4",
-      "evicted 0x400 4",  "useful 0x400 4", "late 0x2000 5",
-      "fill 0x2000 5"};
+  const std::vector<std::string> Expected = {"fill 0x0 3", "fill 0x400 4",
+                                             "fill 0x2000 5"};
   EXPECT_EQ(Log.Events, Expected);
 
   const HierarchyStats H = M.stats();

@@ -191,8 +191,7 @@ TEST(MetricRegistryTest, HasEveryBlockInDocumentOrder) {
             "final_degree", "final_distance", "squelches"}},
           {"prefetcher",
            {"kind", "tag", "trains", "issued", "useful", "late", "redundant",
-            "dropped_queue_full", "unused_evicted", "selected_regions",
-            "sampled_epochs", "final_degree"}},
+            "dropped_queue_full", "unused_evicted", "final_degree"}},
           {"timing", {"wall_ns", "accesses_per_sec"}},
       };
   const std::vector<MetricBlock> &Registry = metricRegistry();

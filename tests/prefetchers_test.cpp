@@ -3,14 +3,13 @@
 // Part of the hds project (PLDI 2002 hot data stream prefetching repro).
 //
 // Tests for the pluggable prefetcher zoo (src/prefetch/): the stride,
-// Markov, stream, and pair-table engines, the dueling selector, the
-// runtime's prefetcher stack, and the static-scheme pinning model.
+// Markov, stream, and pair-table engines, the runtime's prefetcher
+// stack, and the static-scheme pinning model.
 //
 //===----------------------------------------------------------------------===//
 
 #include "core/Runtime.h"
 #include "obs/PrefetchStats.h"
-#include "prefetch/DuelingSelector.h"
 #include "prefetch/MarkovPrefetcher.h"
 #include "prefetch/PairTablePrefetcher.h"
 #include "prefetch/PrefetcherStack.h"
@@ -55,18 +54,6 @@ public:
     Fills.push_back(BlockAddr);
     if (ForwardTo)
       ForwardTo->onFill(BlockAddr, Hierarchy);
-  }
-  void onPrefetchUseful(memsim::Addr Address, uint32_t StreamTag) override {
-    (void)Address;
-    (void)StreamTag;
-  }
-  void onPrefetchLate(memsim::Addr Address, uint32_t StreamTag) override {
-    (void)Address;
-    (void)StreamTag;
-  }
-  void onPrefetchEvicted(memsim::Addr BlockAddr, uint32_t StreamTag) override {
-    (void)BlockAddr;
-    (void)StreamTag;
   }
 };
 
@@ -153,20 +140,6 @@ TEST_F(StrideTest, ResetClearsState) {
   access(1, 0x1080);
   EXPECT_EQ(Prefetcher.issued(), 0u);
   EXPECT_EQ(Prefetcher.trains(), 1u);
-}
-
-TEST_F(StrideTest, IssueGateBlocksWithoutForgetting) {
-  // The dueling selector's gate: a disabled prefetcher keeps training
-  // but nothing reaches the hierarchy; re-enabling resumes issue.
-  Prefetcher.setIssueEnabled(false);
-  access(1, 0x1000);
-  access(1, 0x1040);
-  access(1, 0x1080);
-  EXPECT_EQ(Prefetcher.confirmed(), 1u);
-  EXPECT_EQ(Prefetcher.issued(), 0u);
-  Prefetcher.setIssueEnabled(true);
-  access(1, 0x10C0);
-  EXPECT_EQ(Prefetcher.issued(), 2u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -513,97 +486,6 @@ TEST(PairTableNestedFillTest, NestedPredictSharesTheCandidateBuffer) {
 }
 
 //===----------------------------------------------------------------------===//
-// DuelingSelector (unit level)
-//===----------------------------------------------------------------------===//
-
-namespace duel {
-
-std::unique_ptr<DuelingSelector> makeSelector(const DuelConfig &Cfg) {
-  std::vector<std::unique_ptr<Prefetcher>> Candidates;
-  Candidates.push_back(std::make_unique<StridePrefetcher>(
-      StridePrefetcherConfig(), /*AssignedTag=*/0));
-  Candidates.push_back(std::make_unique<StreamPrefetcher>(
-      StreamPrefetcherConfig(), /*AssignedTag=*/1));
-  return std::make_unique<DuelingSelector>(Cfg, /*AssignedTag=*/2,
-                                           std::move(Candidates));
-}
-
-} // namespace duel
-
-TEST(DuelingSelectorTest, ConvergesAfterBoundedEpochs) {
-  DuelConfig Cfg;
-  Cfg.RegionBuckets = 4;
-  Cfg.EpochAccesses = 4;
-  Cfg.SampleRounds = 1;
-  memsim::MemoryHierarchy Memory;
-  auto Selector = duel::makeSelector(Cfg);
-  EXPECT_EQ(Selector->convergenceEpochs(), 2u);
-
-  // Epoch 0 (stride sampled): a confirmed stride issues in bucket 0.
-  for (memsim::Addr A : {0x100, 0x140, 0x180, 0x1C0})
-    Selector->onAccess(hit(1, A), Memory);
-  // Simulated hierarchy feedback: two of those prefetches turned useful.
-  Selector->noteUseful(0, 0x200);
-  Selector->noteUseful(0, 0x240);
-  // Epoch 1 (stream sampled): hits only, so the stream engine is idle.
-  for (memsim::Addr A : {0x100, 0x140, 0x180, 0x1C0})
-    Selector->onAccess(hit(1, A), Memory);
-  EXPECT_FALSE(Selector->converged());
-
-  // The first access of epoch 2 freezes the decision.
-  Selector->onAccess(hit(1, 0x100), Memory);
-  ASSERT_TRUE(Selector->converged());
-  // Bucket 0 saw stride issues with positive score: stride wins it.
-  EXPECT_EQ(Selector->winnerFor(0x100), 0u);
-  // Buckets with no observations fall back to the global winner.
-  EXPECT_EQ(Selector->globalWinner(), 0u);
-  EXPECT_EQ(Selector->winnerFor(0x3000), 0u);
-  // The losing candidate never got an issue through its gate.
-  EXPECT_EQ(Selector->candidates()[1]->issued(), 0u);
-}
-
-TEST(DuelingSelectorTest, FeedbackAfterConvergenceIsFrozen) {
-  DuelConfig Cfg;
-  Cfg.RegionBuckets = 4;
-  Cfg.EpochAccesses = 2;
-  Cfg.SampleRounds = 1;
-  memsim::MemoryHierarchy Memory;
-  auto Selector = duel::makeSelector(Cfg);
-  for (int I = 0; I <= 4; ++I)
-    Selector->onAccess(hit(1, 0x100 + static_cast<memsim::Addr>(I) * 0x40),
-                       Memory);
-  ASSERT_TRUE(Selector->converged());
-  const size_t Winner = Selector->globalWinner();
-  // Late feedback for the loser must not flip the frozen decision.
-  Selector->noteUseful(1, 0x100);
-  Selector->noteUseful(1, 0x100);
-  EXPECT_EQ(Selector->globalWinner(), Winner);
-}
-
-TEST(DuelingSelectorTest, StatsReportSelectorAndCandidates) {
-  DuelConfig Cfg;
-  Cfg.RegionBuckets = 4;
-  Cfg.EpochAccesses = 2;
-  Cfg.SampleRounds = 1;
-  memsim::MemoryHierarchy Memory;
-  auto Selector = duel::makeSelector(Cfg);
-  for (int I = 0; I <= 4; ++I)
-    Selector->onAccess(hit(1, 0x100 + static_cast<memsim::Addr>(I) * 0x40),
-                       Memory);
-  ASSERT_TRUE(Selector->converged());
-  std::vector<obs::PrefetcherStats> Rows;
-  Selector->appendStats(Rows);
-  ASSERT_EQ(Rows.size(), 3u);
-  EXPECT_EQ(Rows[0].Kind, static_cast<uint64_t>(Prefetcher::Duel));
-  EXPECT_EQ(Rows[1].Kind, static_cast<uint64_t>(Prefetcher::Stride));
-  EXPECT_EQ(Rows[2].Kind, static_cast<uint64_t>(Prefetcher::Stream));
-  EXPECT_EQ(Rows[0].SampledEpochs, 2u);
-  // Every bucket has a frozen owner: the won-region counts sum to the
-  // bucket count.
-  EXPECT_EQ(Rows[1].SelectedRegions + Rows[2].SelectedRegions, 4u);
-}
-
-//===----------------------------------------------------------------------===//
 // Runtime integration (the prefetcher stack)
 //===----------------------------------------------------------------------===//
 
@@ -689,55 +571,6 @@ TEST(RuntimePrefetcherTest, FullRosterComposesWithDenseTags) {
   // the hierarchy lands on the stride row.
   EXPECT_GT(Rows[0].Issued, 0u);
   EXPECT_GT(Rows[0].Useful + Rows[0].Late, 0u);
-}
-
-TEST(RuntimePrefetcherTest, DuelConvergesToClearlyBestCandidate) {
-  // The selector-convergence acceptance test: duel a stride engine
-  // against a Markov engine on a long single-pass sequential scan.  The
-  // scan never repeats a miss digram, so Markov cannot issue anything;
-  // the stride engine covers the scan.  The duel must converge to the
-  // stride candidate within its bounded epoch budget.
-  OptimizerConfig Config;
-  Config.Mode = RunMode::Original;
-  Config.Prefetchers.Enabled.set(Prefetcher::Duel, true);
-  Config.Prefetchers.Enabled.set(Prefetcher::Stride, true);
-  Config.Prefetchers.Enabled.set(Prefetcher::Markov, true);
-  Config.Prefetchers.DuelCfg.EpochAccesses = 512;
-  Config.Prefetchers.DuelCfg.SampleRounds = 2;
-  Runtime Rt(Config);
-  const auto P = Rt.declareProcedure("scan");
-  const auto S = Rt.declareSite(P);
-  const memsim::Addr Base = Rt.allocate(1 << 20, 64);
-
-  Runtime::ProcedureScope Scope(Rt, P);
-  for (uint64_t I = 0; I < 8000; ++I) {
-    Rt.load(S, Base + I * 32);
-    // Enough compute per access that a degree-2 stride prefetch (two
-    // accesses ahead) beats the 100-cycle memory latency: the stride
-    // engine's prefetches classify useful, not just late.
-    Rt.compute(64);
-  }
-
-  ASSERT_NE(Rt.prefetcherStack(), nullptr);
-  DuelingSelector *Selector = Rt.prefetcherStack()->selector();
-  ASSERT_NE(Selector, nullptr);
-  // Bounded convergence: SampleRounds * candidates = 4 epochs, well
-  // inside the 8000-access run.
-  EXPECT_EQ(Selector->convergenceEpochs(), 4u);
-  ASSERT_TRUE(Selector->converged());
-  EXPECT_EQ(Selector->candidates()[Selector->globalWinner()]->kind(),
-            Prefetcher::Stride);
-  // Every touched region resolves to the stride engine too (Markov
-  // never issued, so no bucket prefers it).
-  EXPECT_EQ(Selector->candidates()[Selector->winnerFor(Base)]->kind(),
-            Prefetcher::Stride);
-
-  // The stats report carries one selector row plus one per candidate.
-  const std::vector<obs::PrefetcherStats> Rows = Rt.prefetcherStats();
-  ASSERT_EQ(Rows.size(), 3u);
-  EXPECT_EQ(Rows[0].Kind, static_cast<uint64_t>(Prefetcher::Duel));
-  EXPECT_EQ(Rows[0].SampledEpochs, 4u);
-  EXPECT_GT(Rows[0].SelectedRegions, 0u);
 }
 
 TEST(RuntimePrefetcherTest, HotStreamTagsStartAboveStackTags) {

@@ -114,6 +114,32 @@ TEST(TraceFormatTest, RejectsTruncationAtEveryPrefix) {
   }
 }
 
+TEST(TraceFormatTest, RejectsRetiredAndUnknownFlagBits) {
+  // Locate the meta flags byte as the one byte a Pin change flips.
+  rp::Trace Unpinned = sampleTrace();
+  Unpinned.Meta.Pin = false;
+  const std::string Bytes = rp::serializeTrace(sampleTrace());
+  const std::string Other = rp::serializeTrace(Unpinned);
+  ASSERT_EQ(Bytes.size(), Other.size());
+  size_t FlagsAt = 0;
+  while (FlagsAt < Bytes.size() && Bytes[FlagsAt] == Other[FlagsAt])
+    ++FlagsAt;
+  ASSERT_LT(FlagsAt, Bytes.size());
+  ASSERT_EQ(Bytes[FlagsAt], 5); // stride (1) | pin (4)
+
+  // Bit 32 was the dueling selector; 64 was never assigned.
+  for (const int Bit : {32, 64}) {
+    std::string Tampered = Bytes;
+    Tampered[FlagsAt] = static_cast<char>(5 | Bit);
+    rp::Trace Back;
+    std::string Error;
+    EXPECT_FALSE(rp::deserializeTrace(Tampered, Back, &Error)) << Bit;
+    EXPECT_NE(Error.find(Bit == 32 ? "dueling selector" : "unknown flag bits"),
+              std::string::npos)
+        << Error;
+  }
+}
+
 TEST(TraceFormatTest, RejectsTrailingGarbage) {
   std::string Bytes = rp::serializeTrace(sampleTrace());
   Bytes.push_back('\0');

@@ -224,8 +224,8 @@ TEST(PrefetcherSelection, TokenRoundTripIsCanonical) {
   EXPECT_FALSE(Sel.only(Prefetcher::Stride));
 
   for (const char *Token :
-       {"none", "stride", "duel", "stride+stream", "markov+pair+duel",
-        "stride+markov+stream+pair+duel"}) {
+       {"none", "stride", "pair", "stride+stream", "markov+pair",
+        "stride+markov+stream+pair"}) {
     PrefetcherSelection Parsed;
     ASSERT_TRUE(PrefetcherSelection::parseToken(Token, Parsed)) << Token;
     EXPECT_EQ(Parsed.token(), Token);
@@ -242,20 +242,21 @@ TEST(PrefetcherSelection, ParseRejectsMalformedTokens) {
   PrefetcherSelection Out;
   for (const char *Bad :
        {"", "bogus", "stride+", "+stride", "stride++markov",
-        "stride+stride", "none+stride"})
+        "stride+stride", "none+stride", "duel", "stride+duel"})
     EXPECT_FALSE(PrefetcherSelection::parseToken(Bad, Out)) << Bad;
 }
 
 TEST(PrefetcherSelection, TokenListMatchesTheRoster) {
   EXPECT_EQ(PrefetcherSelection::tokenList(),
-            "none|stride|markov|stream|pair|duel");
+            "none|stride|markov|stream|pair");
   // The numbering is the "kind" gauge of every results document's
   // prefetcher rows: new engines are appended, nothing is renumbered.
   EXPECT_EQ(Prefetcher::Stride, 0);
   EXPECT_EQ(Prefetcher::Markov, 1);
   EXPECT_EQ(Prefetcher::Stream, 2);
   EXPECT_EQ(Prefetcher::PairTable, 3);
-  EXPECT_EQ(Prefetcher::Duel, 4);
+  // Kind 4 was the removed dueling selector: no enumerator past PairTable.
+  EXPECT_EQ(PrefetcherSelection::NumKinds, 4u);
 }
 
 } // namespace

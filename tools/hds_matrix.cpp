@@ -22,8 +22,6 @@
 //     --out FILE            write the results JSON to FILE ("-" = stdout)
 //     --timing              include wall-clock timing in the JSON (makes
 //                           the output non-deterministic by design)
-//     --lint-timing FILE    embed a lint_timing.json (scripts/lint.sh)
-//                           under "timing.lint"
 //     --list                print the selected specs and exit
 //     --quiet               suppress the progress lines on stderr
 //
@@ -62,7 +60,7 @@ using namespace hds;
 
 namespace {
 
-/// Most layout-seed variants --seeds may add: 90 cells x 1001 layouts is
+/// Most layout-seed variants --seeds may add: 84 cells x 1001 layouts is
 /// already far past any sweep worth running, and the bound keeps a typo
 /// from allocating specs until memory runs out.
 constexpr uint64_t MaxSeeds = 1000;
@@ -74,7 +72,6 @@ struct Options {
   std::vector<std::string> Filters;
   std::string OutPath;
   bool Timing = false;
-  std::string LintTimingPath;
   bool List = false;
   bool Quiet = false;
 
@@ -91,8 +88,7 @@ struct Options {
   std::fprintf(
       stderr,
       "usage: %s [--jobs N] [--scale F] [--seeds N] [--filter key=value]...\n"
-      "          [--out FILE] [--timing] [--lint-timing FILE] [--list]\n"
-      "          [--quiet]\n"
+      "          [--out FILE] [--timing] [--list] [--quiet]\n"
       "       %s --merge SHARD.json... [--out FILE] [--quiet]\n"
       "       %s --diff A.json B.json [--threshold PCT] "
       "[--wall-threshold PCT]\n"
@@ -111,7 +107,6 @@ Options parseOptions(int Argc, char **Argv) {
       .strList("--filter", Opts.Filters)
       .str("--out", Opts.OutPath)
       .flag("--timing", Opts.Timing)
-      .str("--lint-timing", Opts.LintTimingPath)
       .flag("--list", Opts.List)
       .flag("--quiet", Opts.Quiet)
       .strList("--merge", Opts.MergePaths)
@@ -298,21 +293,6 @@ int main(int Argc, char **Argv) {
   }
 
   engine::TimingInfo Timing;
-  if (!Opts.LintTimingPath.empty()) {
-    bool Ok = false;
-    std::string Text = readWholeFile(Opts.LintTimingPath, Ok);
-    if (!Ok) {
-      std::fprintf(stderr, "error: cannot read lint timing file '%s'\n",
-                   Opts.LintTimingPath.c_str());
-      return 2;
-    }
-    // Trim trailing whitespace so the embedded value nests cleanly.
-    while (!Text.empty() &&
-           (Text.back() == '\n' || Text.back() == '\r' || Text.back() == ' '))
-      Text.pop_back();
-    Timing.LintJson = Text;
-  }
-
   unsigned Jobs = Opts.Jobs != 0 ? Opts.Jobs
                                  : std::thread::hardware_concurrency();
   if (Jobs == 0)

@@ -18,8 +18,6 @@
 //     --markov              enable the Markov correlation prefetcher
 //     --stream              enable the confidence-counter stream prefetcher
 //     --pair                enable the bounded temporal pair-table prefetcher
-//     --duel                wrap the enabled prefetchers (or, alone, all
-//                           four) in the per-region dueling selector
 //     --adaptive            closed-loop per-stream degree/distance tuning
 //                           (docs/tuning.md)
 //     --pin                 static-scheme model (pin first optimization)
