@@ -14,13 +14,12 @@ using namespace hds::prefetch;
 
 namespace {
 
-/// Nodes the table must hold: MaxNodes, or one when MaxNodes is 0 (the
-/// ring then still admits one node before it starts evicting).
-uint64_t nodeBound(const MarkovPrefetcherConfig &Config) {
-  return std::max<uint64_t>(Config.MaxNodes, 1);
+/// Nodes the pool holds: MaxNodes, or one when MaxNodes is 0.
+uint32_t nodeBound(const MarkovPrefetcherConfig &Config) {
+  return std::max<uint32_t>(Config.MaxNodes, 1);
 }
 
-/// Power-of-two slot count keeping the load at or under 2/3 with at
+/// Power-of-two index size keeping the load at or under 2/3 with at
 /// least one empty slot, so every probe run terminates.
 uint64_t slotsFor(const MarkovPrefetcherConfig &Config) {
   const uint64_t Bound = nodeBound(Config);
@@ -32,18 +31,18 @@ uint64_t slotsFor(const MarkovPrefetcherConfig &Config) {
 MarkovPrefetcher::MarkovPrefetcher(const MarkovPrefetcherConfig &Cfg,
                                    uint32_t AssignedTag)
     : Prefetcher(Kind::Markov, AssignedTag), Config(Cfg),
-      SlotWords(1 + size_t{Cfg.SuccessorsPerNode}),
+      NodeWords(1 + size_t{Cfg.SuccessorsPerNode}), NodeBound(nodeBound(Cfg)),
       SlotMask(static_cast<size_t>(slotsFor(Cfg) - 1)),
       HashShift(64u - static_cast<unsigned>(std::countr_zero(SlotMask + 1))) {
 }
 
 size_t MarkovPrefetcher::find(uint64_t Block) const {
-  size_t Index = homeSlot(Block);
+  size_t Slot = homeSlot(Block);
   for (;;) {
-    const uint64_t Key = Table[Index * SlotWords];
-    if (Key == Block || Key == Empty)
-      return Index;
-    Index = (Index + 1) & SlotMask;
+    const uint32_t Id = Index[Slot];
+    if (Id == NoNode || node(Id)[0] == Block)
+      return Slot;
+    Slot = (Slot + 1) & SlotMask;
   }
 }
 
@@ -51,48 +50,50 @@ void MarkovPrefetcher::erase(size_t Hole) {
   // Backward shift: a later member of the run moves into the hole when
   // the hole lies between its home slot and where it sits now.
   for (size_t Next = (Hole + 1) & SlotMask;; Next = (Next + 1) & SlotMask) {
-    const uint64_t *Member = slot(Next);
-    if (Member[0] == Empty)
+    const uint32_t Id = Index[Next];
+    if (Id == NoNode)
       break;
-    const size_t Displacement = (Next - homeSlot(Member[0])) & SlotMask;
+    const size_t Displacement = (Next - homeSlot(node(Id)[0])) & SlotMask;
     if (Displacement >= ((Next - Hole) & SlotMask)) {
-      std::copy(Member, Member + SlotWords, slot(Hole));
+      Index[Hole] = Id;
       Hole = Next;
     }
   }
-  slot(Hole)[0] = Empty;
-  --Nodes;
+  Index[Hole] = NoNode;
 }
 
 void MarkovPrefetcher::onMiss(const AccessEvent &Event,
                               memsim::MemoryHierarchy &Hierarchy) {
-  if (Table.empty()) {
-    Table.assign(slotCount() * SlotWords, Empty);
-    InsertionOrder.reserve(nodeBound(Config));
+  if (Store.empty()) {
+    Store.map(storeBytes());
+    Pool = static_cast<uint64_t *>(Store.data());
+    Index = reinterpret_cast<uint32_t *>(Pool + size_t{NodeBound} * NodeWords);
+    std::fill(Index, Index + slotCount(), NoNode);
   }
   const uint64_t Block = Hierarchy.l1().blockOf(Event.Addr);
   const uint32_t Slots = Config.SuccessorsPerNode;
 
   // (a) Learn: the previous miss is followed by this one.
   if (LastMissBlock != Empty && LastMissBlock != Block) {
-    size_t Index = find(LastMissBlock);
-    if (slot(Index)[0] == Empty) {
-      if (Nodes >= Config.MaxNodes && !InsertionOrder.empty()) {
-        // Evict the oldest node (round-robin over insertion order); the
+    size_t Slot = find(LastMissBlock);
+    uint32_t Id = Index[Slot];
+    if (Id == NoNode) {
+      Id = NextId;
+      NextId = NextId + 1 == NodeBound ? 0 : NextId + 1;
+      if (Nodes == NodeBound) {
+        // The id's previous owner is the oldest node: evict it.  The
         // shift may move LastMissBlock's insertion point.
-        erase(find(InsertionOrder[EvictCursor]));
-        InsertionOrder[EvictCursor] = LastMissBlock;
-        EvictCursor = (EvictCursor + 1) % InsertionOrder.size();
-        Index = find(LastMissBlock);
+        erase(find(node(Id)[0]));
+        Slot = find(LastMissBlock);
       } else {
-        InsertionOrder.push_back(LastMissBlock);
+        ++Nodes;
       }
-      uint64_t *Fresh = slot(Index);
+      Index[Slot] = Id;
+      uint64_t *Fresh = node(Id);
       Fresh[0] = LastMissBlock;
-      std::fill(Fresh + 1, Fresh + SlotWords, Empty);
-      ++Nodes;
+      std::fill(Fresh + 1, Fresh + NodeWords, Empty);
     }
-    uint64_t *Successors = slot(Index) + 1;
+    uint64_t *Successors = node(Id) + 1;
     uint32_t Pos = 0;
     while (Pos < Slots && Successors[Pos] != Block &&
            Successors[Pos] != Empty)
@@ -115,9 +116,10 @@ void MarkovPrefetcher::onMiss(const AccessEvent &Event,
 
   // (b) Predict: prefetch this block's recorded successors, prioritized
   // by recency.
-  const uint64_t *Node = slot(find(Block));
-  if (Node[0] != Block)
+  const uint32_t Id = Index[find(Block)];
+  if (Id == NoNode)
     return;
+  const uint64_t *Node = node(Id);
   const uint64_t BlockBytes = Hierarchy.l1().config().BlockBytes;
   for (uint32_t I = 1; I <= Slots && Node[I] != Empty; ++I)
     issue(Node[I] * BlockBytes, Hierarchy);
@@ -125,9 +127,10 @@ void MarkovPrefetcher::onMiss(const AccessEvent &Event,
 
 void MarkovPrefetcher::reset() {
   Prefetcher::reset();
-  Table.clear();
+  Store.release();
+  Pool = nullptr;
+  Index = nullptr;
   Nodes = 0;
-  InsertionOrder.clear();
-  EvictCursor = 0;
+  NextId = 0;
   LastMissBlock = Empty;
 }

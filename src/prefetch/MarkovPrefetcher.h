@@ -25,16 +25,22 @@
 /// (which dedicated megabytes of state — generous, but that is the
 /// comparison point).
 ///
-/// Layout: one open-addressed table of fixed-size slots,
-/// [block, successor x SuccessorsPerNode], ~0 marking an empty key or
-/// successor.  Linear probing from a multiplicative hash, backward-shift
-/// deletion (no tombstones), and a capacity fixed from MaxNodes at a load
-/// of at most 2/3, so the table never rehashes.  The slots are allocated
-/// on the first miss, not at construction, so a cell's set-up stays
-/// cheap.  Global FIFO eviction runs over the InsertionOrder ring.  This
+/// Layout: a node pool and a 32-bit index, both in one page mapping
+/// (support/PageMapping.h) created on the first miss, so a cell's set-up
+/// stays cheap, and released on reset().  A node is [block, successor x
+/// SuccessorsPerNode], ~0 marking an empty successor; the pool holds
+/// max(MaxNodes, 1) of them, addressed by node id.  The index is an
+/// open-addressed array of node ids (~0u = empty) sized from MaxNodes at
+/// a load of at most 2/3 (1/2 at the defaults), so it never rehashes:
+/// linear probing from a multiplicative hash of the block, backward-shift
+/// deletion (no tombstones).
+///
+/// FIFO rule: ids are handed out in insertion order and reused
+/// round-robin, so the id handed out next always belongs to the oldest
+/// node, which a full pool evicts.  This global insertion-order eviction
 /// is why Markov stays its own engine rather than a configuration of the
-/// set-associative pair table: set-local replacement cannot reproduce
-/// insertion-order eviction over the whole table.
+/// set-associative pair table, whose replacement is set-local.
+///
 /// src/testing/ReferenceMarkov.h keeps the map-of-vectors model this
 /// replaced; tests/prefetchers_test.cpp drives both in lockstep.
 ///
@@ -44,10 +50,10 @@
 #define HDS_PREFETCH_MARKOVPREFETCHER_H
 
 #include "prefetch/Prefetcher.h"
+#include "support/PageMapping.h"
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 namespace hds {
 namespace prefetch {
@@ -58,6 +64,7 @@ struct MarkovPrefetcherConfig {
   uint32_t SuccessorsPerNode = 2;
   /// Maximum nodes in the correlation table; beyond it, new nodes evict
   /// in insertion order (a coarse model of a bounded hardware table).
+  /// 0 means one node: each new node evicts the previous one.
   uint32_t MaxNodes = 1 << 16;
 };
 
@@ -73,38 +80,47 @@ public:
 
   size_t nodeCount() const { return Nodes; }
 
-  /// Slots in the table (fixed by MaxNodes; allocated on the first miss).
+  /// Slots in the index (fixed by MaxNodes).
   size_t slotCount() const { return SlotMask + 1; }
-  /// The slot \p Block's probe run starts at (tests build colliding
-  /// keys with it).
+  /// The index slot \p Block's probe run starts at (tests build
+  /// colliding keys with it).
   size_t homeSlot(uint64_t Block) const {
     return static_cast<size_t>((Block * 0x9E3779B97F4A7C15ull) >> HashShift);
+  }
+  /// Bytes of the pool plus the index (mapped on the first miss).
+  size_t storeBytes() const {
+    return size_t{NodeBound} * NodeWords * sizeof(uint64_t) +
+           slotCount() * sizeof(uint32_t);
   }
 
   void reset() override;
 
 private:
   static constexpr uint64_t Empty = ~uint64_t{0};
+  static constexpr uint32_t NoNode = ~uint32_t{0};
 
-  uint64_t *slot(size_t Index) { return &Table[Index * SlotWords]; }
-  /// The slot holding \p Block, or the empty slot that ends its run.
+  uint64_t *node(uint32_t Id) const { return Pool + size_t{Id} * NodeWords; }
+  /// The index slot holding \p Block's node, or the empty slot that ends
+  /// its run.
   size_t find(uint64_t Block) const;
-  /// Empties the slot at \p Hole, shifting later run members back.
+  /// Empties the index slot at \p Hole, shifting later run members back.
   void erase(size_t Hole);
 
   MarkovPrefetcherConfig Config;
-  /// Words per slot: the key block, then the successors, most recent
+  /// Words per node: the key block, then the successors, most recent
   /// first.
-  size_t SlotWords;
+  size_t NodeWords;
+  /// Nodes the pool holds: max(MaxNodes, 1).
+  uint32_t NodeBound;
   size_t SlotMask;
   unsigned HashShift;
-  /// Empty until the first miss.
-  std::vector<uint64_t> Table;
+  /// The pool, then the index; unmapped until the first miss.
+  PageMapping Store;
+  uint64_t *Pool = nullptr;
+  uint32_t *Index = nullptr;
   size_t Nodes = 0;
-  /// Keys in insertion order: a ring once the table is full, its cursor
-  /// at the oldest node.
-  std::vector<uint64_t> InsertionOrder;
-  size_t EvictCursor = 0;
+  /// The id the next new node takes: insertion order, modulo NodeBound.
+  uint32_t NextId = 0;
   uint64_t LastMissBlock = Empty;
 };
 

@@ -90,8 +90,10 @@ private:
     /// Key miss block; ~0 = empty.
     uint64_t KeyBlock = ~uint64_t{0};
     uint64_t NextBlock = 0;
-    uint8_t Confidence = 0;
+    /// As wide as MaxConfidence, so any ceiling saturates, never wraps.
+    uint32_t Confidence = 0;
   };
+  static_assert(sizeof(Entry) == 24, "the widened counter fits the padding");
 
   size_t setBase(uint64_t Block) const {
     // Deterministic multiplicative mix so adjacent blocks spread over

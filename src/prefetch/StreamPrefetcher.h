@@ -69,8 +69,10 @@ private:
     uint64_t LastBlock = 0;
     /// +1 ascending, -1 descending.
     int8_t Direction = 1;
-    uint8_t Confidence = 0;
+    /// As wide as MaxConfidence, so any ceiling saturates, never wraps.
+    uint32_t Confidence = 0;
   };
+  static_assert(sizeof(Entry) == 24, "the widened counter fits the padding");
 
   StreamPrefetcherConfig Config;
   std::vector<Entry> Table;

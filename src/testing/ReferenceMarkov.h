@@ -6,10 +6,10 @@
 ///
 /// \file
 /// The map-of-vectors correlation table that prefetch::MarkovPrefetcher
-/// replaced with a flat open-addressed table.  Kept verbatim as the
-/// differential-testing oracle: tests/prefetchers_test.cpp drives both
-/// engines through identical miss streams and requires the same issued
-/// addresses, training count and node count after every miss.  The
+/// replaced with a node pool and an open-addressed index.  Kept verbatim
+/// as the differential-testing oracle: tests/prefetchers_test.cpp drives
+/// both engines through identical miss streams and requires the same
+/// issued addresses, training count and node count after every miss.  The
 /// implementation is deliberately naive — its correctness is readable at
 /// a glance, which is the whole point of an oracle.  Do not optimize
 /// this file.

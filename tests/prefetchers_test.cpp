@@ -21,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -219,6 +220,34 @@ TEST_F(MarkovTest, SlotCountKeepsLoadAtMostTwoThirds) {
   EXPECT_EQ(MarkovPrefetcher(One, /*AssignedTag=*/0).slotCount(), 8u);
 }
 
+TEST_F(MarkovTest, EvictsOldestNodeFirst) {
+  // Two nodes: the third key evicts the first-inserted one, and a
+  // relearned evicted key starts with no successors.
+  MarkovPrefetcherConfig Config;
+  Config.MaxNodes = 2;
+  MarkovPrefetcher Small(Config, /*AssignedTag=*/0);
+  const memsim::Addr A = 0x1000, B = 0x2000, C = 0x3000, D = 0x4000,
+                     E = 0x5000;
+  for (memsim::Addr Addr : {A, B, C, D}) // nodes A->B, B->C, then C->D
+    Small.onMiss(miss(Addr), Memory);
+  EXPECT_EQ(Small.nodeCount(), 2u);
+  Small.onMiss(miss(A), Memory); // A was evicted: predicts nothing
+  EXPECT_EQ(Small.issued(), 0u);
+  Small.onMiss(miss(E), Memory); // relearns A, now A->E
+  Small.onMiss(miss(A), Memory); // predicts E only, never the lost B
+  EXPECT_EQ(Small.issued(), 1u);
+  EXPECT_EQ(Small.nodeCount(), 2u);
+  Memory.tick(500);
+  EXPECT_TRUE(Memory.l1().contains(E));
+  EXPECT_FALSE(Memory.l1().contains(B));
+}
+
+TEST_F(MarkovTest, StoreFootprintAtDefaults) {
+  // 65536 nodes of [block, 2 successors] plus a 131072-slot index of
+  // 32-bit node ids: 65536 * 24 + 131072 * 4 bytes, 2 MiB in all.
+  EXPECT_EQ(Prefetcher.storeBytes(), 2097152u);
+}
+
 /// One engine under test plus the hierarchy it issues into.  The
 /// hierarchy's caches are tiny because it is reset after every miss: a
 /// reset empties both levels and the in-flight queue, so every issue of
@@ -259,7 +288,7 @@ std::vector<uint64_t> collidingBlocks(const MarkovPrefetcher &Table,
 }
 
 TEST(MarkovOracleTest, FlatTableMatchesReferenceInLockstep) {
-  // The flat table must reproduce the map-of-vectors engine it replaced
+  // The node pool must reproduce the map-of-vectors engine it replaced
   // exactly: the same addresses issued in the same order, the same
   // training count and the same node count after every miss.  The miss
   // stream walks a block universe three times the table bound (successor
@@ -267,7 +296,8 @@ TEST(MarkovOracleTest, FlatTableMatchesReferenceInLockstep) {
   // that collide on the last home slots (probe runs wrap past the end,
   // evicting one shifts the rest of its run back), repeats the previous
   // block and jumps at random.  Both engines reset halfway through.
-  for (uint32_t MaxNodes : {1u, 4u, 64u, 65536u}) {
+  // MaxNodes 0 holds one node, like MaxNodes 1.
+  for (uint32_t MaxNodes : {0u, 1u, 4u, 64u, 65536u}) {
     for (uint32_t Successors : {1u, 2u, 4u}) {
       SCOPED_TRACE("MaxNodes=" + std::to_string(MaxNodes) +
                    " SuccessorsPerNode=" + std::to_string(Successors));
@@ -307,7 +337,7 @@ TEST(MarkovOracleTest, FlatTableMatchesReferenceInLockstep) {
         ASSERT_EQ(Flat.Engine.issued(), Reference.Engine.issued())
             << "miss " << I;
       }
-      EXPECT_LE(Flat.Engine.nodeCount(), MaxNodes);
+      EXPECT_LE(Flat.Engine.nodeCount(), std::max(MaxNodes, 1u));
     }
   }
 }
@@ -357,6 +387,21 @@ TEST_F(StreamTest, UnrelatedJumpInsideRegionResetsDetection) {
   EXPECT_EQ(Prefetcher.issued(), AfterRun);
 }
 
+TEST_F(StreamTest, ConfidenceAbove255Saturates) {
+  // A ceiling above 255 must saturate: 300 conforming misses in one
+  // 64 KiB region keep the detector confident on every one of them.
+  StreamPrefetcherConfig Config;
+  Config.RegionShift = 16;
+  Config.MaxConfidence = 300;
+  StreamPrefetcher Wide(Config, /*AssignedTag=*/0);
+  Wide.onMiss(miss(0x100000), Memory); // takes the region over
+  for (memsim::Addr I = 1; I <= 300; ++I) {
+    const uint64_t Before = Wide.issued();
+    Wide.onMiss(miss(0x100000 + I * 32), Memory);
+    ASSERT_EQ(Wide.issued() - Before, I < 2 ? 0u : 4u) << "miss " << I;
+  }
+}
+
 TEST_F(StreamTest, BlindToHitsAndPcs) {
   // The detector trains on the miss stream only: plain accesses (the
   // base-class onAccess hook) never touch the table.
@@ -391,6 +436,23 @@ TEST_F(PairTableTest, RepeatedPairReachesIssueThreshold) {
   EXPECT_EQ(Prefetcher.issued(), 1u);
   Memory.tick(500);
   EXPECT_TRUE(Memory.l1().contains(0x5000));
+}
+
+TEST_F(PairTableTest, ConfidenceAbove255Saturates) {
+  // A ceiling above 255 must saturate: 300 reinforcements of A->B and
+  // B->A keep both pairs above the issue threshold throughout.
+  PairTableConfig Config;
+  Config.MaxConfidence = 300;
+  PairTablePrefetcher Wide(Config, /*AssignedTag=*/0);
+  for (int Round = 0; Round <= 300; ++Round) {
+    const uint64_t Before = Wide.issued();
+    Wide.onMiss(miss(0x1000), Memory);
+    Wide.onMiss(miss(0x5000), Memory);
+    // Each pair reaches the threshold (2) on its second traversal; from
+    // then on both misses of a round issue their successor.
+    ASSERT_EQ(Wide.issued() - Before, Round < 2 ? 0u : 2u)
+        << "round " << Round;
+  }
 }
 
 TEST_F(PairTableTest, FillChainsOneStepDownTheChain) {
