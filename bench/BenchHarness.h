@@ -8,7 +8,7 @@
 /// Shared plumbing for the benches that regenerate the paper's figures
 /// and tables, now a thin adapter over the experiment engine
 /// (src/engine): one benchmark under one RunMode is one ExperimentSpec,
-/// and a whole figure is a matrix the engine can shard across cores.
+/// run through engine::runExperiment.
 /// "% overhead" follows the paper's Figures 11/12: normalized to the
 /// execution time of the original unoptimized program; positive values
 /// indicate performance degradation and negative values indicate
@@ -34,7 +34,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <vector>
 
 namespace hds {
 namespace bench {
@@ -57,16 +56,6 @@ runWorkload(const std::string &WorkloadName, core::RunMode Mode,
   RunResult Result = engine::runExperiment(Spec, Tweak);
   assert(Result.ok() && "unknown workload");
   return Result;
-}
-
-/// Matrix entry point: runs every spec through engine::runMatrix across
-/// \p Jobs worker threads and returns results in spec order.  Results
-/// are byte-identical for any job count; benches that fan out whole
-/// figures use this instead of serial runWorkload loops.
-inline std::vector<RunResult>
-runSpecs(const std::vector<engine::ExperimentSpec> &Specs,
-         unsigned Jobs = 1) {
-  return engine::runMatrix(Specs, Jobs);
 }
 
 /// % overhead of \p Cycles relative to \p BaselineCycles (negative =

@@ -4,9 +4,9 @@
 # the final artifacts in the repository root.
 #
 # The per-figure bench binaries still exist (bench/) for focused runs;
-# the canonical trajectory artifact is now one sharded hds_matrix
-# invocation whose merged JSON is byte-identical for any --jobs value
-# (see docs/engine.md).
+# the canonical trajectory artifact is now one multi-threaded hds_matrix
+# invocation whose JSON is byte-identical for any --jobs value (see
+# docs/engine.md).
 #
 # Usage: scripts/run_all.sh [bench-scale]   (default 1.0)
 set -e

@@ -50,13 +50,13 @@ OptionSet &OptionSet::strPair(const char *Name, std::string &A,
 namespace {
 
 /// Registers an integer option parsed strictly into \p Target: decimal
-/// digits only, no larger than IntT holds, and at least \p Min.
+/// digits only, at most \p Max, and at least \p Min.
 template <typename IntT>
 OptionSet &addInteger(OptionSet &Set, const char *Name, IntT &Target,
-                      uint64_t Min = 0) {
+                      uint64_t Min = 0,
+                      uint64_t Max = std::numeric_limits<IntT>::max()) {
   std::string Flag = Name;
-  return Set.add(Name, 1, [&Target, Flag, Min](const char *const *Ops) {
-    constexpr uint64_t Max = std::numeric_limits<IntT>::max();
+  return Set.add(Name, 1, [&Target, Flag, Min, Max](const char *const *Ops) {
     uint64_t Value = 0;
     if (!parseDecimal(Ops[0], Value, Max)) {
       std::fprintf(stderr, "error: invalid %s '%s' (need an integer in [%llu, "
@@ -84,8 +84,9 @@ OptionSet &OptionSet::u32(const char *Name, uint32_t &Target) {
   return addInteger(*this, Name, Target);
 }
 
-OptionSet &OptionSet::uns(const char *Name, unsigned &Target) {
-  return addInteger(*this, Name, Target);
+OptionSet &OptionSet::uns(const char *Name, unsigned &Target,
+                          unsigned Max) {
+  return addInteger(*this, Name, Target, 0, Max);
 }
 
 OptionSet &OptionSet::unsAtLeastOne(const char *Name, unsigned &Target) {

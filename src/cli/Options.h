@@ -30,6 +30,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -61,7 +62,10 @@ public:
   /// @{
   OptionSet &u64(const char *Name, uint64_t &Target);
   OptionSet &u32(const char *Name, uint32_t &Target);
-  OptionSet &uns(const char *Name, unsigned &Target);
+  /// \p Max caps the accepted value below the type's own limit
+  /// (hds_matrix --jobs).
+  OptionSet &uns(const char *Name, unsigned &Target,
+                 unsigned Max = std::numeric_limits<unsigned>::max());
   /// @}
 
   /// As uns(), then "error: --name must be >= 1" and exit 2 on zero

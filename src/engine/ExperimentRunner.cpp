@@ -7,13 +7,14 @@
 #include "engine/ExperimentRunner.h"
 
 #include "core/Runtime.h"
-#include "engine/JobScheduler.h"
-#include "engine/ResultSink.h"
 #include "support/Rng.h"
 #include "workloads/Workload.h"
 
+#include <algorithm>
+#include <atomic>
 #include <memory>
-#include <utility>
+#include <mutex>
+#include <thread>
 
 using namespace hds;
 using namespace hds::engine;
@@ -70,34 +71,30 @@ RunResult hds::engine::runExperiment(const ExperimentSpec &Spec,
 
 std::vector<RunResult>
 hds::engine::runMatrix(std::span<const ExperimentSpec> Specs, unsigned Jobs,
-                       const std::atomic<bool> *Cancel, OnResult Callback) {
-  ResultSink Sink(Specs.size());
-  if (Callback)
-    Sink.setCallback(std::move(Callback));
-  {
-    JobScheduler Scheduler(Jobs);
-    for (std::size_t Index = 0; Index < Specs.size(); ++Index) {
-      const ExperimentSpec &Spec = Specs[Index];
-      Scheduler.submit([Index, &Spec, &Sink, Cancel, &Scheduler] {
-        if (Cancel && Cancel->load(std::memory_order_relaxed)) {
-          // Drop everything still queued too, so cancellation takes
-          // effect promptly instead of once per remaining job.
-          Scheduler.cancel();
-          RunResult Cancelled;
-          Cancelled.Spec = Spec;
-          Sink.deliver(Index, std::move(Cancelled));
-          return;
-        }
-        Sink.deliver(Index, runExperiment(Spec));
-      });
+                       OnResult Callback) {
+  // Each spec has its own slot, so the threads never write the same
+  // element and the results come back in spec order.
+  std::vector<RunResult> Results(Specs.size());
+  std::atomic<std::size_t> Next{0};
+  std::mutex CallbackMutex;
+  const auto Work = [&] {
+    for (;;) {
+      const std::size_t Index = Next.fetch_add(1);
+      if (Index >= Specs.size())
+        return;
+      Results[Index] = runExperiment(Specs[Index]);
+      if (Callback) {
+        std::lock_guard<std::mutex> Lock(CallbackMutex);
+        Callback(Index, Results[Index]);
+      }
     }
-    Scheduler.wait();
-  }
-  std::vector<RunResult> Results = Sink.take();
-  // Jobs dropped from the queue never delivered; label their slots with
-  // the spec they would have run so every result is self-describing.
-  for (std::size_t Index = 0; Index < Results.size(); ++Index)
-    if (Results[Index].State == RunResult::Status::Cancelled)
-      Results[Index].Spec = Specs[Index];
+  };
+  const std::size_t Threads =
+      std::min<std::size_t>(std::max(Jobs, 1u), Specs.size());
+  {
+    std::vector<std::jthread> Workers;
+    for (std::size_t T = 0; T < Threads; ++T)
+      Workers.emplace_back(Work);
+  } // joined here
   return Results;
 }

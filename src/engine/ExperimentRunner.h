@@ -6,7 +6,7 @@
 ///
 /// \file
 /// Executes one experiment spec to completion (runExperiment), or a whole
-/// matrix of them across a thread pool (runMatrix).  Each run builds a
+/// matrix of them across plain threads (runMatrix).  Each run builds a
 /// private Runtime, so concurrent runs share no mutable state, and the
 /// matrix results come back in spec order whatever the thread count.
 ///
@@ -24,7 +24,6 @@
 #include "obs/Metrics.h"
 #include "obs/PrefetchStats.h"
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -67,13 +66,12 @@ void visitResultTimingMetrics(TimingT &&Timing, Fn &&Visit) {
 /// self-describing wherever it travels (JSON writer, progress callbacks).
 struct RunResult {
   enum class Status : uint8_t {
-    Cancelled, ///< dropped before it ran (matrix cancellation)
-    Error,     ///< could not run (unknown workload, ...)
+    Error, ///< could not run (unknown workload, ...)
     Ok,
   };
 
   ExperimentSpec Spec;
-  Status State = Status::Cancelled;
+  Status State = Status::Error;
   std::string Error;
 
   /// Iteration count actually executed (resolves Scale × default).
@@ -111,16 +109,12 @@ RunResult runExperiment(const ExperimentSpec &Spec,
 /// Progress callback of runMatrix: spec index and its finished result.
 using OnResult = std::function<void(std::size_t, const RunResult &)>;
 
-/// Runs every spec across \p Jobs worker threads (clamped to at least 1)
-/// and returns the results in spec order, byte-identical in JSON for any
-/// job count.  When \p Cancel is set, jobs that have not started yet are
-/// dropped and come back Cancelled, still carrying their spec.
-/// \p Callback, when set, fires once per finished job in *completion*
-/// order, serialized.
+/// Runs every spec on min(max(\p Jobs, 1), Specs.size()) threads and
+/// returns the results in spec order, byte-identical in JSON for any job
+/// count.  \p Callback, when set, fires once per finished spec in
+/// *completion* order, serialized under one mutex.
 std::vector<RunResult> runMatrix(std::span<const ExperimentSpec> Specs,
-                                 unsigned Jobs,
-                                 const std::atomic<bool> *Cancel = nullptr,
-                                 OnResult Callback = nullptr);
+                                 unsigned Jobs, OnResult Callback = nullptr);
 
 } // namespace engine
 } // namespace hds

@@ -140,19 +140,6 @@ bool hds::engine::applyFilter(std::vector<ExperimentSpec> &Specs,
     Keep([&](const ExperimentSpec &S) { return S.Seed == Seed; });
     return true;
   }
-  if (Key == "shard") {
-    uint64_t Index = 0, Count = 0;
-    if (!parseShard(Value, Index, Count)) {
-      if (Error)
-        *Error = "shard '" + Value + "' is not of the form i/n with i < n";
-      return false;
-    }
-    std::vector<ExperimentSpec> Kept;
-    for (std::size_t Pos = Index; Pos < Specs.size(); Pos += Count)
-      Kept.push_back(Specs[Pos]);
-    Specs = std::move(Kept);
-    return true;
-  }
   if (Key == "prefetcher") {
     if (Value == "none") {
       Keep([&](const ExperimentSpec &S) { return S.Prefetchers.none(); });
@@ -184,56 +171,24 @@ bool hds::engine::applyFilter(std::vector<ExperimentSpec> &Specs,
   }
   if (Error)
     *Error = "unknown filter key '" + Key +
-             "' (expected workload, mode, seed, prefetcher, tuning, or shard)";
+             "' (expected workload, mode, seed, prefetcher, or tuning)";
   return false;
 }
 
 bool hds::engine::applyFilters(std::vector<ExperimentSpec> &Specs,
                                const std::vector<std::string> &Filters,
-                               std::string &ShardTag, std::string *Error) {
-  static constexpr std::string_view ShardKey = "shard=";
+                               std::string *Error) {
   std::vector<ExperimentSpec> Narrowed = Specs;
-  const std::string *Shard = nullptr;
-  for (const std::string &Filter : Filters) {
-    if (Filter.starts_with(ShardKey)) {
-      if (Shard) {
-        if (Error)
-          *Error = "more than one shard filter";
-        return false;
-      }
-      Shard = &Filter;
-      continue;
-    }
+  for (const std::string &Filter : Filters)
     if (!applyFilter(Narrowed, Filter, Error))
       return false;
-  }
-  // Sharding partitions whatever the other filters left, so every shard
-  // process of a sweep sees the same list whatever the flag order.
-  ShardTag.clear();
-  if (Shard) {
-    if (!applyFilter(Narrowed, *Shard, Error))
-      return false;
-    uint64_t Index = 0, Count = 0;
-    parseShard(Shard->substr(ShardKey.size()), Index, Count);
-    ShardTag = std::to_string(Index) + "/" + std::to_string(Count);
-  }
   Specs = std::move(Narrowed);
   return true;
-}
-
-bool hds::engine::parseShard(const std::string &Tag, uint64_t &Index,
-                             uint64_t &Count) {
-  const std::size_t Slash = Tag.find('/');
-  return Slash != std::string::npos &&
-         parseDecimal(std::string_view(Tag).substr(0, Slash), Index) &&
-         parseDecimal(std::string_view(Tag).substr(Slash + 1), Count) &&
-         Index < Count;
 }
 
 std::string hds::engine::filterHelp() {
   return "filters: workload=<name>  mode=<" + core::runModeTokenList() +
          ">  seed=<n>\n         prefetcher=<" +
          prefetch::PrefetcherSelection::tokenList() +
-         ">  tuning=<adaptive|fixed>\n         shard=<i>/<n> (every n-th "
-         "cell from the i-th, applied last)\n";
+         ">  tuning=<adaptive|fixed>\n";
 }

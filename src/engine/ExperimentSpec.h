@@ -11,8 +11,8 @@
 /// the paper's Figures 11/12 and narrow it with key=value filters.
 ///
 /// Specs are plain data: two equal specs describe byte-identical
-/// simulations, which is what lets the engine shard a matrix across
-/// threads and still merge results deterministically (see
+/// simulations, which is what lets the engine run a matrix across
+/// threads and still return results deterministically (see
 /// docs/engine.md).
 ///
 //===----------------------------------------------------------------------===//
@@ -83,24 +83,20 @@ std::vector<ExperimentSpec> defaultMatrix(double Scale = 1.0);
 /// Narrows \p Specs in place with one "key=value" filter.  Supported
 /// keys: workload (name), mode (runModeToken vocabulary), seed
 /// (decimal), prefetcher (none or a kind token — cells whose only
-/// enabled prefetcher is the named one), tuning (adaptive|fixed), and
-/// shard (i/n — keeps the specs at positions k with k % n == i).
+/// enabled prefetcher is the named one), and tuning (adaptive|fixed).
 /// Returns false — leaving \p Specs untouched and setting \p Error when
 /// non-null — for an unknown key or unparseable value.
 bool applyFilter(std::vector<ExperimentSpec> &Specs,
                  const std::string &Filter, std::string *Error = nullptr);
 
-/// Applies every filter in \p Filters, the shard filter last whatever
-/// its position, so positions count in the list the other filters left.
-/// \p ShardTag receives the canonical "i/n" of the shard filter, or ""
-/// when there is none.  On error (a bad filter or two shard filters)
-/// returns false and leaves \p Specs untouched.
-bool applyFilters(std::vector<ExperimentSpec> &Specs,
-                  const std::vector<std::string> &Filters,
-                  std::string &ShardTag, std::string *Error = nullptr);
-
-/// Parses a shard tag "i/n" (decimal, i < n).  False on anything else.
-bool parseShard(const std::string &Tag, uint64_t &Index, uint64_t &Count);
+/// Applies every filter in \p Filters in turn.  On a bad filter returns
+/// false and leaves \p Specs untouched.  Cold: it runs once per tool
+/// invocation, and its placement keeps perfbench's host probe at the
+/// offset its references were taken at (docs/benchmarks.md, "Host-probe
+/// alignment").
+[[gnu::cold]] bool applyFilters(std::vector<ExperimentSpec> &Specs,
+                                const std::vector<std::string> &Filters,
+                                std::string *Error = nullptr);
 
 /// The filter vocabulary lines of a tool usage text, generated from the
 /// shared token definitions (core::allRunModes, Prefetcher::kindToken,

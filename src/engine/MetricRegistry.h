@@ -9,8 +9,8 @@
 /// metric that appears in the results JSON, grouped into named blocks,
 /// with its stable id, unit, and documentation string (obs::MetricDef).
 /// The registry is built from the same visit*Metrics enumerations the
-/// JSON writer (emitResult) and reader (decodeResults) walk, so it can
-/// never drift from what they produce and accept — a test asserts ids
+/// JSON writer (emitResult) walks, so it can never drift from what the
+/// writer produces — a test asserts ids
 /// are unique within each block and that every block's order matches
 /// the enumeration order.
 ///

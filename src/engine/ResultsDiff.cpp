@@ -1,4 +1,4 @@
-//===- engine/ResultsDiff.cpp - Read, compare and merge results -----------===//
+//===- engine/ResultsDiff.cpp - Read and compare results ------------------===//
 //
 // Part of the hds project (PLDI 2002 hot data stream prefetching repro).
 //
@@ -7,15 +7,11 @@
 #include "engine/ResultsDiff.h"
 
 #include "engine/MetricRegistry.h"
-#include "prefetch/Prefetcher.h"
 #include "support/ParseInt.h"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <iterator>
-#include <memory>
 #include <utility>
 
 using namespace hds;
@@ -27,11 +23,12 @@ namespace {
 // Minimal JSON reader for the hds-matrix-results-v1 subset
 //===----------------------------------------------------------------------===//
 //
-// The one JSON reader in the tree: --diff and --merge both read through
-// it.  Objects keep insertion order (a vector of pairs, never a hash
-// map) so flattened metric paths enumerate in the stable order the
-// writer emitted, and repeated diffs report findings in the same
-// sequence.
+// The one JSON reader in the tree, behind --diff.  It rejects what the
+// writer never emits: duplicate member names, and integer tokens that
+// are not unsigned 64-bit decimals.  Objects keep insertion order (a
+// vector of pairs, never a hash map) so flattened metric paths
+// enumerate in the stable order the writer emitted, and repeated diffs
+// report findings in the same sequence.
 
 struct JsonValue;
 using JsonMembers = std::vector<std::pair<std::string, JsonValue>>;
@@ -200,6 +197,13 @@ private:
     Out.NumberValue = std::strtod(Out.StringValue.c_str(), &End);
     if (End == Out.StringValue.c_str() || *End != '\0')
       return fail("malformed number '" + Out.StringValue + "'");
+    // The writer emits every integer as an unsigned 64-bit decimal, so
+    // an integer token that is not one is corrupt, not a reading.
+    uint64_t Integer = 0;
+    if (Out.StringValue.find_first_of(".eE") == std::string::npos &&
+        !parseDecimal(Out.StringValue, Integer))
+      return fail("integer '" + Out.StringValue +
+                  "' is not an unsigned 64-bit value");
     return true;
   }
 
@@ -248,6 +252,8 @@ private:
         return false;
       if (!consume(':'))
         return false;
+      if (Out.find(Key))
+        return fail("duplicate member '" + Key + "'");
       JsonValue Value;
       if (!parseValue(Value, Depth + 1))
         return false;
@@ -376,6 +382,18 @@ bool extractCells(const std::string &Json, const std::string &Name,
   const JsonValue *Results = Doc.find("results");
   if (!Results || Results->Type != JsonValue::Kind::Array) {
     Error = Name + ": missing results array";
+    return false;
+  }
+  const JsonValue *Count = Doc.find("spec_count");
+  uint64_t SpecCount = 0;
+  if (!Count || Count->Type != JsonValue::Kind::Number ||
+      !parseDecimal(Count->StringValue, SpecCount)) {
+    Error = Name + ": missing or non-integer spec_count";
+    return false;
+  }
+  if (SpecCount != Results->Elements.size()) {
+    Error = Name + ": spec_count " + Count->StringValue + " does not match " +
+            std::to_string(Results->Elements.size()) + " results";
     return false;
   }
   for (const JsonValue &Result : Results->Elements) {
@@ -517,235 +535,6 @@ void appendSection(std::string &Out, const char *Title,
   }
 }
 
-//===----------------------------------------------------------------------===//
-// Decoding documents back into RunResults (the --merge surface)
-//===----------------------------------------------------------------------===//
-
-using Kind = JsonValue::Kind;
-
-/// Reads the members of one JSON object by name.  The first problem —
-/// starting with a value that is not an object at all — is recorded in
-/// the shared error string (prefixed with the object's path) and turns
-/// every later read into a no-op; finish() then rejects any member
-/// nobody asked for, so nothing in the input goes unread.
-class ObjectReader {
-public:
-  ObjectReader(const JsonValue &ObjectIn, std::string WhereIn,
-               std::string &ErrorIn)
-      : Object(ObjectIn), Where(std::move(WhereIn)), Error(ErrorIn) {
-    if (Object.Type != Kind::Object)
-      fail("not an object");
-  }
-
-  bool ok() const { return Error.empty(); }
-  const std::string &where() const { return Where; }
-  std::string &error() { return Error; }
-
-  bool fail(const std::string &Message) {
-    if (ok())
-      Error = Where + ": " + Message;
-    return false;
-  }
-
-  /// The member \p Key, which must have type \p Type.  Null when absent
-  /// (an error unless \p Optional), mistyped, or after an earlier error.
-  const JsonValue *take(const char *Key, Kind Type, bool Optional = false) {
-    if (!ok())
-      return nullptr;
-    const JsonValue *Value = Object.find(Key);
-    if (!Value) {
-      if (!Optional)
-        fail(std::string("missing field '") + Key + "'");
-      return nullptr;
-    }
-    Taken.push_back(Value);
-    if (Value->Type != Type) {
-      fail(std::string("field '") + Key + "' has the wrong type");
-      return nullptr;
-    }
-    return Value;
-  }
-
-  bool u64(const char *Key, uint64_t &Out) {
-    const JsonValue *Value = take(Key, Kind::Number);
-    if (!Value)
-      return false;
-    if (!parseDecimal(Value->StringValue, Out))
-      return fail(std::string("field '") + Key +
-                  "' is not an unsigned 64-bit integer");
-    return true;
-  }
-
-  bool str(const char *Key, std::string &Out) {
-    const JsonValue *Value = take(Key, Kind::String);
-    if (Value)
-      Out = Value->StringValue;
-    return Value != nullptr;
-  }
-
-  bool boolean(const char *Key, bool &Out) {
-    const JsonValue *Value = take(Key, Kind::Bool);
-    if (Value)
-      Out = Value->BoolValue;
-    return Value != nullptr;
-  }
-
-  /// Rejects members no take() consumed: unknown and duplicate keys.
-  bool finish() {
-    for (const auto &[Name, Value] : Object.Members)
-      if (std::find(Taken.begin(), Taken.end(), &Value) == Taken.end())
-        return fail("unexpected field '" + Name + "'");
-    return ok();
-  }
-
-private:
-  const JsonValue &Object;
-  std::string Where;
-  std::string &Error;
-  std::vector<const JsonValue *> Taken;
-};
-
-/// The reader half of the metric contract: fills each field a
-/// visit*Metrics enumeration names from the member with its id — the
-/// same walk MetricFieldEmitter makes when writing.
-struct MetricFieldReader {
-  ObjectReader &In;
-  template <typename FieldT>
-  void operator()(const obs::MetricDef &Def, FieldT &Field) const {
-    static_assert(sizeof(FieldT) == sizeof(uint64_t), "narrow metric field");
-    uint64_t Value = 0;
-    if (In.u64(Def.Id, Value))
-      Field = static_cast<FieldT>(Value);
-  }
-};
-
-/// Reads the object member \p Key into \p Stats through \p Visit.
-/// Returns whether the member was present.
-template <typename StatsT, typename VisitFn>
-bool readBlock(ObjectReader &Parent, const char *Key, StatsT &Stats,
-               VisitFn Visit, bool Optional = false) {
-  const JsonValue *Object = Parent.take(Key, Kind::Object, Optional);
-  if (!Object)
-    return false;
-  ObjectReader Block(*Object, Parent.where() + "." + Key, Parent.error());
-  Visit(Stats, MetricFieldReader{Block});
-  Block.finish();
-  return true;
-}
-
-/// Reads the array-of-objects member \p Key into \p Rows, one element
-/// per row through \p Visit.  \p DerivedKey names a string member the
-/// writer derives from a metric; it is accepted and not read back.
-template <typename RowT, typename VisitFn>
-void readRows(ObjectReader &Parent, const char *Key, std::vector<RowT> &Rows,
-              VisitFn Visit, const char *DerivedKey = nullptr) {
-  const JsonValue *Array = Parent.take(Key, Kind::Array);
-  for (std::size_t I = 0; Array && I < Array->Elements.size() && Parent.ok();
-       ++I) {
-    ObjectReader Row(Array->Elements[I],
-                     Parent.where() + "." + Key + "[" + std::to_string(I) +
-                         "]",
-                     Parent.error());
-    if (DerivedKey)
-      Row.take(DerivedKey, Kind::String);
-    Visit(Rows.emplace_back(), MetricFieldReader{Row});
-    Row.finish();
-  }
-}
-
-/// The spec echo emitResult writes ahead of the status.
-void readSpec(ObjectReader &Cell, ExperimentSpec &Spec) {
-  Cell.str("workload", Spec.Workload);
-  std::string Mode, ModeName;
-  if (Cell.str("mode", Mode) && !core::parseRunModeToken(Mode, Spec.Mode))
-    Cell.fail("unknown mode '" + Mode + "'");
-  if (Cell.str("mode_name", ModeName) &&
-      ModeName != core::runModeName(Spec.Mode))
-    Cell.fail("mode_name '" + ModeName + "' does not match the mode");
-  if (const JsonValue *Scale = Cell.take("scale", Kind::Number)) {
-    Spec.Scale = Scale->NumberValue;
-    if (!(Spec.Scale > 0.0) || !std::isfinite(Spec.Scale))
-      Cell.fail("scale is not a finite number > 0");
-  }
-  Cell.u64("seed", Spec.Seed);
-  uint64_t HeadLength = 0;
-  if (Cell.u64("head_length", HeadLength)) {
-    Spec.HeadLength = static_cast<uint32_t>(HeadLength);
-    if (Spec.HeadLength != HeadLength)
-      Cell.fail("head_length is out of range");
-  }
-  // The per-kind identity fields, in Prefetcher::Kind order.
-  static constexpr const char *KindFields[] = {"stride", "markov",
-                                               "stream_pf", "pair_pf"};
-  static_assert(std::size(KindFields) ==
-                prefetch::PrefetcherSelection::NumKinds);
-  for (unsigned I = 0; I < prefetch::PrefetcherSelection::NumKinds; ++I) {
-    bool Enabled = false;
-    Cell.boolean(KindFields[I], Enabled);
-    Spec.Prefetchers.set(static_cast<prefetch::Prefetcher::Kind>(I), Enabled);
-  }
-  // Written as a constant false since the dueling selector was removed;
-  // documents from before then may also omit it.
-  if (const JsonValue *Duel = Cell.take("duel_pf", Kind::Bool, true);
-      Duel && Duel->BoolValue)
-    Cell.fail("duel_pf is true, but the dueling selector was removed");
-  Cell.boolean("pin", Spec.Pin);
-  Cell.boolean("adaptive", Spec.Adaptive);
-  Cell.boolean("tuned", Spec.Tuned);
-}
-
-void readCell(ObjectReader &Cell, RunResult &Result, bool &HasTiming) {
-  readSpec(Cell, Result.Spec);
-  std::string Status;
-  if (Cell.str("status", Status)) {
-    if (Status == "ok")
-      Result.State = RunResult::Status::Ok;
-    else if (Status == "error")
-      Result.State = RunResult::Status::Error;
-    else if (Status != "cancelled")
-      Cell.fail("unknown status '" + Status + "'");
-  }
-  if (const JsonValue *Error = Cell.take("error", Kind::String, true))
-    Result.Error = Error->StringValue;
-  if (!Result.ok()) {
-    Cell.finish();
-    return;
-  }
-
-  Cell.u64("iterations", Result.Iterations);
-  Cell.u64("cycles", Result.Cycles);
-  // Derived from the whole result set; resultsToJson recomputes it.
-  Cell.take("overhead_pct", Kind::Number, true);
-  core::visitRunStatsMetrics(Result.Stats, MetricFieldReader{Cell});
-  readBlock(Cell, "memory", Result.Memory, [](auto &S, auto &&F) {
-    memsim::visitHierarchyStatsMetrics(S, F);
-  });
-  const auto VisitCache = [](auto &S, auto &&F) {
-    memsim::visitCacheStatsMetrics(S, F);
-  };
-  readBlock(Cell, "l1", Result.L1, VisitCache);
-  readBlock(Cell, "l2", Result.L2, VisitCache);
-  readRows(Cell, "phases", Result.Stats.Cycles, [](auto &S, auto &&F) {
-    core::visitCycleStatsMetrics(S, F);
-  });
-  readBlock(Cell, "cycle_breakdown", Result.Breakdown, [](auto &S, auto &&F) {
-    obs::visitCycleBreakdownMetrics(S, F);
-  });
-  readRows(Cell, "streams", Result.Streams, [](auto &S, auto &&F) {
-    obs::visitStreamPrefetchStatsMetrics(S, F);
-  });
-  readRows(
-      Cell, "prefetchers", Result.Prefetchers,
-      [](auto &S, auto &&F) { obs::visitPrefetcherStatsMetrics(S, F); },
-      "kind_name");
-  if (readBlock(
-          Cell, "timing", Result.Timing,
-          [](auto &S, auto &&F) { visitResultTimingMetrics(S, F); },
-          /*Optional=*/true))
-    HasTiming = true;
-  Cell.finish();
-}
-
 } // namespace
 
 std::string DiffReport::render(const std::string &NameA,
@@ -794,99 +583,5 @@ bool hds::engine::diffResults(const std::string &JsonA,
   for (const Cell &B : CellsB)
     if (!findCell(CellsA, B.Key))
       Report.OnlyInB.push_back(B.Key);
-  return true;
-}
-
-bool hds::engine::decodeResults(const std::string &Json, ResultsDocument &Out,
-                                std::string &Error) {
-  Out = ResultsDocument();
-  Error.clear();
-  JsonValue Doc;
-  if (!JsonParser(Json, Error).parse(Doc))
-    return false;
-  ObjectReader Top(Doc, "document", Error);
-  std::string Schema;
-  if (Top.str("schema", Schema) && Schema != "hds-matrix-results-v1")
-    Top.fail("not an hds-matrix-results-v1 document (schema '" + Schema +
-             "')");
-  if (const JsonValue *Shard = Top.take("shard", Kind::String, true))
-    if (!parseShard(Shard->StringValue, Out.ShardIndex, Out.ShardCount))
-      Top.fail("bad shard tag '" + Shard->StringValue + "'");
-  uint64_t SpecCount = 0;
-  Top.u64("spec_count", SpecCount);
-  // Whole-run wall clock describes one process, not the merged sweep.
-  Top.take("timing", Kind::Object, true);
-  const JsonValue *Results = Top.take("results", Kind::Array);
-  if (Results && SpecCount != Results->Elements.size())
-    Top.fail("spec_count " + std::to_string(SpecCount) + " does not match " +
-             std::to_string(Results->Elements.size()) + " results");
-  for (std::size_t I = 0; Results && I < Results->Elements.size() && Top.ok();
-       ++I) {
-    ObjectReader Cell(Results->Elements[I],
-                      "results[" + std::to_string(I) + "]", Error);
-    RunResult Result;
-    readCell(Cell, Result, Out.PerResultTiming);
-    Out.Results.push_back(std::move(Result));
-  }
-  Top.finish();
-  return Top.ok();
-}
-
-bool hds::engine::mergeShards(const std::vector<ResultsDocument> &Shards,
-                              ResultsDocument &Merged, std::string &Error) {
-  Merged = ResultsDocument();
-  if (Shards.empty()) {
-    Error = "no documents to merge";
-    return false;
-  }
-  const uint64_t Count = Shards.front().ShardCount;
-  auto Tag = [](uint64_t Index, uint64_t Of) {
-    return std::to_string(Index) + "/" + std::to_string(Of);
-  };
-  std::size_t Total = 0;
-  for (std::size_t I = 0; I < Shards.size(); ++I) {
-    const ResultsDocument &Shard = Shards[I];
-    if (Shard.ShardCount != Count) {
-      Error = "shard " + Tag(Shard.ShardIndex, Shard.ShardCount) +
-              " does not belong with shard " +
-              Tag(Shards.front().ShardIndex, Count) + " (different n)";
-      return false;
-    }
-    for (std::size_t J = 0; J < I; ++J)
-      if (Shards[J].ShardIndex == Shard.ShardIndex) {
-        Error = "shard " + Tag(Shard.ShardIndex, Count) + " given twice";
-        return false;
-      }
-    Total += Shard.Results.size();
-    Merged.PerResultTiming |= Shard.PerResultTiming;
-  }
-  // Indices are distinct and below Count, so with fewer documents than
-  // shards one of 0..size() is missing.
-  for (uint64_t Index = 0; Shards.size() < Count; ++Index)
-    if (std::none_of(Shards.begin(), Shards.end(),
-                     [Index](const ResultsDocument &Shard) {
-                       return Shard.ShardIndex == Index;
-                     })) {
-      Error = "shard " + Tag(Index, Count) + " is missing";
-      return false;
-    }
-
-  Merged.Results.resize(Total);
-  for (const ResultsDocument &Shard : Shards) {
-    // A shard=i/n filter keeps positions i, i+n, i+2n, ... of the list.
-    const std::size_t Expected =
-        Shard.ShardIndex < Total
-            ? (Total - Shard.ShardIndex + Count - 1) / Count
-            : 0;
-    if (Shard.Results.size() != Expected) {
-      Error = "shard " + Tag(Shard.ShardIndex, Count) + " holds " +
-              std::to_string(Shard.Results.size()) + " results; a " +
-              std::to_string(Total) + "-cell sweep gives it " +
-              std::to_string(Expected);
-      return false;
-    }
-    for (std::size_t K = 0; K < Shard.Results.size(); ++K)
-      Merged.Results[Shard.ShardIndex + K * Count] = Shard.Results[K];
-  }
   return true;
 }

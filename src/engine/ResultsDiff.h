@@ -1,12 +1,12 @@
-//===- engine/ResultsDiff.h - Read, compare and merge results ---*- C++ -*-===//
+//===- engine/ResultsDiff.h - Read and compare results ---------*- C++ -*-===//
 //
 // Part of the hds project (PLDI 2002 hot data stream prefetching repro).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Everything that reads `hds-matrix-results-v1` JSON documents
-/// (engine/ResultsJson.h) back, through one minimal JSON reader.
+/// Reads `hds-matrix-results-v1` JSON documents (engine/ResultsJson.h)
+/// back through one minimal JSON reader, and compares two of them.
 ///
 /// diffResults compares two documents cell by cell.  Cells pair up by
 /// their full spec echo (workload, mode, scale, seed, head length, flag
@@ -17,28 +17,18 @@
 ///   * regressions     — `cycles` grew past the threshold
 ///   * improvements    — `cycles` shrank past the threshold
 ///   * metric changes  — any other counter moved past the threshold
-///   * status changes  — ok / error / cancelled flipped
+///   * status changes  — ok / error flipped
 ///   * unmatched cells — present in only one document
 ///
 /// regressed() is the CI verdict: true for regressions, metric changes,
 /// status changes, or unmatched cells.  Improvements alone stay green.
-///
-/// decodeResults is the inverse of resultsToJson: it reads a cell through
-/// the same visit*Metrics enumerations emitResult writes it with, so JSON
-/// is the only serialization of a RunResult.  mergeShards puts the
-/// documents of a `--filter shard=i/n` sweep back in spec order;
-/// re-rendering them with resultsToJson gives the bytes of one unsharded
-/// run (docs/engine.md).
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef HDS_ENGINE_RESULTSDIFF_H
 #define HDS_ENGINE_RESULTSDIFF_H
 
-#include "engine/ExperimentRunner.h"
-
 #include <cstddef>
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -87,37 +77,12 @@ struct DiffReport {
 
 /// Parses both documents and fills \p Report.  Returns false — with a
 /// description in \p Error — when either input is not a well-formed
-/// hds-matrix-results-v1 document.
+/// hds-matrix-results-v1 document: malformed JSON, a duplicate member,
+/// an integer that is not an unsigned 64-bit decimal, a wrong schema, or
+/// a spec_count that is missing or disagrees with the results array.
 bool diffResults(const std::string &JsonA, const std::string &JsonB,
                  const DiffOptions &Opts, DiffReport &Report,
                  std::string &Error);
-
-/// One results document read back into memory.
-struct ResultsDocument {
-  /// The cells, in document order.
-  std::vector<RunResult> Results;
-  /// The "shard" tag; an untagged document reads as shard 0/1.
-  uint64_t ShardIndex = 0;
-  uint64_t ShardCount = 1;
-  /// Whether any cell carried a per-result "timing" object (re-render
-  /// with TimingInfo::IncludePerResult to keep it).
-  bool PerResultTiming = false;
-};
-
-/// Decodes an hds-matrix-results-v1 document, skipping overhead_pct (the
-/// writer recomputes it) and any whole-run "timing" object.  Returns
-/// false and sets \p Error on malformed JSON, a wrong schema or shard
-/// tag, a wrong spec_count, and any missing, mistyped, out-of-range or
-/// unknown field — a document is never half-read.
-bool decodeResults(const std::string &Json, ResultsDocument &Out,
-                   std::string &Error);
-
-/// Merges the documents of one sharded sweep into \p Merged (an untagged
-/// document in spec order).  Every shard 0..n-1 must be present exactly
-/// once, all with the same n, each holding the share of cells a shard=
-/// filter gives it.  Returns false and sets \p Error otherwise.
-bool mergeShards(const std::vector<ResultsDocument> &Shards,
-                 ResultsDocument &Merged, std::string &Error);
 
 } // namespace engine
 } // namespace hds

@@ -29,8 +29,6 @@ const char *statusName(RunResult::Status State) {
     return "ok";
   case RunResult::Status::Error:
     return "error";
-  case RunResult::Status::Cancelled:
-    return "cancelled";
   }
   return "unknown";
 }
@@ -270,12 +268,9 @@ std::string hds::engine::jsonEscape(const std::string &S) {
 }
 
 std::string hds::engine::resultsToJson(const std::vector<RunResult> &Results,
-                                       const TimingInfo &Timing,
-                                       const std::string &Shard) {
+                                       const TimingInfo &Timing) {
   JsonBuilder Json;
   Json.fieldString("schema", "hds-matrix-results-v1");
-  if (!Shard.empty())
-    Json.fieldString("shard", Shard);
   Json.field("spec_count", uint64_t{Results.size()});
 
   Json.openArray("results");

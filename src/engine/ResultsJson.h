@@ -47,12 +47,9 @@ struct TimingInfo {
 /// Serializes \p Results (spec order) to a JSON document.  Overhead
 /// percentages are computed against the matching Original-mode baseline
 /// in the same result set (same workload/scale/seed/iterations, no
-/// hardware prefetchers) when one is present.  A non-empty \p Shard
-/// ("i/n", the shard= filter that selected the results) is written as a
-/// top-level "shard" field; unsharded documents carry none.
+/// hardware prefetchers) when one is present.
 std::string resultsToJson(const std::vector<RunResult> &Results,
-                          const TimingInfo &Timing = TimingInfo(),
-                          const std::string &Shard = std::string());
+                          const TimingInfo &Timing = TimingInfo());
 
 /// Escapes \p S for embedding in a JSON string literal.
 std::string jsonEscape(const std::string &S);

@@ -11,9 +11,8 @@
 /// `visit*Metrics` enumerations (core/RunStats.h, memsim/Cache.h,
 /// memsim/MemoryHierarchy.h, obs/CycleAccount.h, obs/PrefetchStats.h)
 /// pair each definition with a reference to the live field, in a fixed
-/// append-only order.  That single enumeration drives JSON emission, the
-/// JSON reader behind the shard merge (engine/ResultsDiff.h), and the
-/// metric registry (engine/MetricRegistry.h), so the three can never
+/// append-only order.  That single enumeration drives JSON emission and
+/// the metric registry (engine/MetricRegistry.h), so the two can never
 /// disagree on field names or order.
 ///
 /// Append-only contract: new metrics are appended at the end of their

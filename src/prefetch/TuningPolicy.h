@@ -29,9 +29,8 @@
 /// Epochs are counted in demand accesses (one deterministic clock per
 /// Runtime, advanced from the simulated access stream), so adjustments
 /// are a pure function of the observed epoch-delta counters and the
-/// config — never of wall clock, thread schedule, or shard assignment.
-/// That is what keeps adaptive cells byte-identical across --jobs counts
-/// and shard splits.
+/// config — never of wall clock or thread schedule.  That is what keeps
+/// adaptive cells byte-identical across --jobs counts.
 ///
 /// Both issuing paths consume one instance: core/PrefetchEngine threads
 /// degree/distance into how much of an installed stream's tail it issues

@@ -6,8 +6,7 @@
 ///
 /// \file
 /// The one parser behind every user-facing integer: CLI options, the
-/// seed= and shard= filters, and the counters read back from results
-/// JSON.  Unlike strtoull it accepts digits only — no sign ("-1" would
+/// seed= filter, and the integers read back from results JSON.  Unlike strtoull it accepts digits only — no sign ("-1" would
 /// wrap to 2^64-1), no space, no trailing bytes — and rejects overflow.
 ///
 //===----------------------------------------------------------------------===//

@@ -139,9 +139,11 @@ TEST(OptionSetDeathTest, IntegerOptionsRejectSignsGarbageAndOverflow) {
   uint32_t HeadLength = 0;
   unsigned Jobs = 0, Repeat = 0;
   OptionSet Set([] {});
+  // --jobs carries hds_matrix's cap, so an oversized value is refused
+  // while parsing, before any thread is started.
   Set.u64("--seeds", Seeds)
       .u32("--headlen", HeadLength)
-      .uns("--jobs", Jobs)
+      .uns("--jobs", Jobs, 256)
       .unsAtLeastOne("--repeat", Repeat);
 
   // strtoull used to wrap "-1" to 2^64-1 (a std::bad_alloc downstream)
@@ -151,8 +153,8 @@ TEST(OptionSetDeathTest, IntegerOptionsRejectSignsGarbageAndOverflow) {
       {"--seeds", ""},         {"--seeds", "+3"},
       {"--seeds", " 3"},       {"--seeds", "18446744073709551616"},
       {"--headlen", "4294967296"}, {"--jobs", "-2"},
-      {"--jobs", "8x"},        {"--repeat", "-1"},
-      {"--repeat", "2.5"}};
+      {"--jobs", "8x"},        {"--jobs", "100000"},
+      {"--repeat", "-1"},      {"--repeat", "2.5"}};
   for (const std::vector<std::string> &Args : Bad)
     EXPECT_EXIT(parseArgs(Set, Args), testing::ExitedWithCode(2),
                 "error: invalid " + Args[0] + " '" + regexQuote(Args[1]) +
@@ -165,6 +167,8 @@ TEST(OptionSetDeathTest, IntegerOptionsRejectSignsGarbageAndOverflow) {
   EXPECT_EQ(HeadLength, 4294967295u);
   EXPECT_EQ(Jobs, 0u);
   EXPECT_EQ(Repeat, 3u);
+  parseArgs(Set, {"--jobs", "256"});
+  EXPECT_EQ(Jobs, 256u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -202,9 +206,8 @@ TEST(CliVocabularyDeathTest, RemovedDuelSpellingsAreUsageErrors) {
   // hds_matrix prints as "error: ..." and exits 2 on.
   std::vector<engine::ExperimentSpec> Specs = engine::defaultMatrix(0.02);
   const size_t Before = Specs.size();
-  std::string ShardTag, Error;
-  EXPECT_FALSE(
-      engine::applyFilters(Specs, {"prefetcher=duel"}, ShardTag, &Error));
+  std::string Error;
+  EXPECT_FALSE(engine::applyFilters(Specs, {"prefetcher=duel"}, &Error));
   EXPECT_EQ(Error, "unknown prefetcher 'duel' (expected "
                    "none|stride|markov|stream|pair)");
   EXPECT_EQ(Specs.size(), Before);

@@ -2,29 +2,27 @@
 //
 // Part of the hds project (PLDI 2002 hot data stream prefetching repro).
 //
-// Tests for src/engine: the JobScheduler worker pool, the spec-order
-// ResultSink merge, and the determinism contract of runMatrix — the
-// aggregate JSON must be byte-identical for any job count and for any
-// shard split merged back, failed cells must not corrupt or reorder the
-// merged output, and cancellation must leave no leaked threads (this
-// binary also runs under TSan in CI) — plus the results JSON reader
-// behind --diff and --merge, which must reject every truncated or
-// malformed document (this binary also runs under ASan).
+// Tests for src/engine: runMatrix's threads and its determinism
+// contract — every spec runs exactly once, the progress callback is
+// serialized, results come back in spec order, and the aggregate JSON
+// is byte-identical for any job count, with failed cells neither
+// corrupting nor reordering the output (this binary also runs under
+// TSan in CI) — plus the results JSON reader behind --diff, which must
+// reject every truncated, malformed or inconsistent document (this
+// binary also runs under ASan).
 //
 //===----------------------------------------------------------------------===//
 
 #include "engine/ExperimentRunner.h"
 #include "engine/ExperimentSpec.h"
-#include "engine/JobScheduler.h"
-#include "engine/ResultSink.h"
 #include "engine/ResultsDiff.h"
 #include "engine/ResultsJson.h"
 #include "support/Rng.h"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <semaphore>
+#include <algorithm>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -33,205 +31,6 @@ using namespace hds;
 using namespace hds::engine;
 
 namespace {
-
-//===----------------------------------------------------------------------===//
-// JobScheduler
-//===----------------------------------------------------------------------===//
-
-TEST(JobScheduler, RunsEverySubmittedJob) {
-  std::atomic<int> Counter{0};
-  {
-    JobScheduler Pool(4);
-    EXPECT_EQ(Pool.threadCount(), 4u);
-    for (int I = 0; I < 64; ++I)
-      Pool.submit([&Counter] { Counter.fetch_add(1); });
-    Pool.wait();
-    EXPECT_EQ(Pool.executed(), 64u);
-    EXPECT_EQ(Pool.dropped(), 0u);
-  }
-  EXPECT_EQ(Counter.load(), 64);
-}
-
-TEST(JobScheduler, ZeroThreadsClampsToOne) {
-  JobScheduler Pool(0);
-  EXPECT_EQ(Pool.threadCount(), 1u);
-  std::atomic<int> Counter{0};
-  Pool.submit([&Counter] { Counter.fetch_add(1); });
-  Pool.wait();
-  EXPECT_EQ(Counter.load(), 1);
-}
-
-TEST(JobScheduler, WaitWithNoJobsReturnsImmediately) {
-  JobScheduler Pool(2);
-  Pool.wait();
-  EXPECT_EQ(Pool.executed(), 0u);
-}
-
-TEST(JobScheduler, CancelDropsQueuedJobsButFinishesRunningOnes) {
-  std::binary_semaphore JobStarted{0};
-  std::binary_semaphore ReleaseJob{0};
-  std::atomic<int> Ran{0};
-
-  JobScheduler Pool(1);
-  // First job occupies the only worker until we release it.
-  Pool.submit([&] {
-    JobStarted.release();
-    ReleaseJob.acquire();
-    Ran.fetch_add(1);
-  });
-  for (int I = 0; I < 9; ++I)
-    Pool.submit([&Ran] { Ran.fetch_add(1); });
-
-  JobStarted.acquire(); // the worker is now inside job 0
-  Pool.cancel();        // drops the 9 queued jobs
-  ReleaseJob.release();
-  Pool.wait();
-
-  EXPECT_EQ(Ran.load(), 1);
-  EXPECT_EQ(Pool.executed(), 1u);
-  EXPECT_EQ(Pool.dropped(), 9u);
-}
-
-TEST(JobScheduler, DestructorJoinsWithQueuedJobs) {
-  // Destroying the pool while jobs are still queued must not leak
-  // threads or deadlock (TSan/ASan in CI would flag either).
-  std::atomic<int> Ran{0};
-  {
-    JobScheduler Pool(2);
-    for (int I = 0; I < 8; ++I)
-      Pool.submit([&Ran] { Ran.fetch_add(1); });
-    // No wait(): the destructor drops what has not started and joins.
-  }
-  EXPECT_LE(Ran.load(), 8);
-}
-
-TEST(JobScheduler, CountersAndCancelAreSafeWhileWorkersRun) {
-  // Two submitters, a canceller and a counter reader race the workers.
-  // Every job is either executed or dropped, exactly once; under TSan
-  // this also checks that each member access holds the pool mutex.
-  constexpr std::size_t PerSubmitter = 200;
-  std::atomic<std::size_t> Ran{0};
-  std::atomic<bool> Done{false};
-  JobScheduler Pool(4);
-  std::jthread Reader([&] {
-    while (!Done.load())
-      (void)(Pool.executed() + Pool.dropped());
-  });
-  {
-    std::vector<std::jthread> Threads;
-    for (int S = 0; S < 2; ++S)
-      Threads.emplace_back([&] {
-        for (std::size_t I = 0; I < PerSubmitter; ++I)
-          Pool.submit([&Ran] { Ran.fetch_add(1); });
-      });
-    Threads.emplace_back([&] {
-      for (int I = 0; I < 100; ++I) {
-        Pool.cancel();
-        std::this_thread::yield();
-      }
-    });
-  }
-  Pool.wait();
-  Done = true;
-  Reader.join();
-  EXPECT_EQ(Pool.executed(), Ran.load());
-  EXPECT_EQ(Pool.executed() + Pool.dropped(), 2 * PerSubmitter);
-}
-
-//===----------------------------------------------------------------------===//
-// ResultSink
-//===----------------------------------------------------------------------===//
-
-RunResult okResult(const std::string &Workload, uint64_t Cycles) {
-  RunResult Result;
-  Result.Spec.Workload = Workload;
-  Result.State = RunResult::Status::Ok;
-  Result.Cycles = Cycles;
-  return Result;
-}
-
-TEST(ResultSink, MergesOutOfOrderDeliveriesInSpecOrder) {
-  ResultSink Sink(3);
-  Sink.deliver(2, okResult("c", 30));
-  Sink.deliver(0, okResult("a", 10));
-  Sink.deliver(1, okResult("b", 20));
-  EXPECT_EQ(Sink.completed(), 3u);
-
-  const std::vector<RunResult> Results = Sink.take();
-  ASSERT_EQ(Results.size(), 3u);
-  EXPECT_EQ(Results[0].Spec.Workload, "a");
-  EXPECT_EQ(Results[1].Spec.Workload, "b");
-  EXPECT_EQ(Results[2].Spec.Workload, "c");
-  EXPECT_EQ(Results[1].Cycles, 20u);
-}
-
-TEST(ResultSink, CallbackFiresInCompletionOrder) {
-  ResultSink Sink(2);
-  std::vector<std::size_t> Order;
-  Sink.setCallback([&Order](std::size_t Index, const RunResult &) {
-    Order.push_back(Index);
-  });
-  Sink.deliver(1, okResult("b", 2));
-  Sink.deliver(0, okResult("a", 1));
-  ASSERT_EQ(Order.size(), 2u);
-  EXPECT_EQ(Order[0], 1u);
-  EXPECT_EQ(Order[1], 0u);
-}
-
-TEST(ResultSink, UnfilledSlotsComeBackCancelled) {
-  ResultSink Sink(2);
-  Sink.deliver(0, okResult("a", 1));
-  const std::vector<RunResult> Results = Sink.take();
-  ASSERT_EQ(Results.size(), 2u);
-  EXPECT_TRUE(Results[0].ok());
-  EXPECT_EQ(Results[1].State, RunResult::Status::Cancelled);
-}
-
-TEST(ResultSink, ConcurrentDeliveriesCallbackAndPollingAreSerialized) {
-  // Four workers deliver disjoint slots, half before and half after
-  // another thread installs the callback, while a poller reads
-  // completed() through take().  The relaxed flags only order the
-  // threads in time, so every happens-before edge must come from the
-  // sink's mutex: under TSan this checks that each member access holds
-  // it, and the callback's plain counter relies on deliver's lock.
-  constexpr std::size_t N = 64;
-  constexpr std::size_t Workers = 4;
-  ResultSink Sink(N);
-  std::size_t Calls = 0;
-  std::atomic<std::size_t> Delivered{0};
-  std::atomic<bool> Installed{false};
-  std::atomic<bool> Done{false};
-  std::jthread Poller([&] {
-    while (!Done.load())
-      (void)Sink.completed();
-  });
-  {
-    std::vector<std::jthread> Threads;
-    for (std::size_t W = 0; W < Workers; ++W)
-      Threads.emplace_back([&, W] {
-        for (std::size_t I = W; I < N; I += Workers) {
-          if (I == W + N / 2)
-            while (!Installed.load(std::memory_order_relaxed))
-              std::this_thread::yield();
-          Sink.deliver(I, okResult("w", I));
-          Delivered.fetch_add(1, std::memory_order_relaxed);
-        }
-      });
-    Threads.emplace_back([&] {
-      while (Delivered.load(std::memory_order_relaxed) < N / 2)
-        std::this_thread::yield();
-      Sink.setCallback([&Calls](std::size_t, const RunResult &) { ++Calls; });
-      Installed.store(true, std::memory_order_relaxed);
-    });
-  }
-  const std::vector<RunResult> Results = Sink.take();
-  Done = true;
-  Poller.join();
-  EXPECT_EQ(Calls, N / 2);
-  ASSERT_EQ(Results.size(), N);
-  for (std::size_t I = 0; I < N; ++I)
-    EXPECT_EQ(Results[I].Cycles, I);
-}
 
 //===----------------------------------------------------------------------===//
 // Spec vocabulary
@@ -279,55 +78,191 @@ TEST(ExperimentSpec, BadFilterReportsErrorAndLeavesSpecsAlone) {
   EXPECT_EQ(Specs.size(), Before);
   EXPECT_FALSE(applyFilter(Specs, "no-equals-sign", &Error));
   EXPECT_EQ(Specs.size(), Before);
-  for (const char *Bad : {"seed=-1", "seed=+1", "seed=1x",
-                          "seed=99999999999999999999", "shard=3/3",
-                          "shard=0/0", "shard=1", "shard=-1/3", "shard=1/3x"}) {
+  for (const char *Bad :
+       {"seed=-1", "seed=+1", "seed=1x", "seed=99999999999999999999"}) {
     Error.clear();
     EXPECT_FALSE(applyFilter(Specs, Bad, &Error)) << Bad;
     EXPECT_FALSE(Error.empty()) << Bad;
     EXPECT_EQ(Specs.size(), Before) << Bad;
   }
+  // Sharding was removed; shard= is an unknown key like any other.
+  Error.clear();
+  EXPECT_FALSE(applyFilter(Specs, "shard=0/3", &Error));
+  EXPECT_NE(Error.find("unknown filter key 'shard'"), std::string::npos)
+      << Error;
+  EXPECT_EQ(Specs.size(), Before);
 }
 
-TEST(ExperimentSpec, ShardsPartitionTheFilteredListWhateverTheFlagOrder) {
-  std::vector<ExperimentSpec> Dynpref = defaultMatrix();
-  ASSERT_TRUE(applyFilter(Dynpref, "mode=dynpref"));
-  std::vector<ExperimentSpec> Union;
-  for (uint64_t I = 0; I < 3; ++I) {
-    // The shard filter comes first on the command line, yet positions
-    // count in the list the mode filter left.
-    std::vector<ExperimentSpec> Shard = defaultMatrix();
-    std::string Tag;
-    ASSERT_TRUE(applyFilters(
-        Shard, {"shard=" + std::to_string(I) + "/3", "mode=dynpref"}, Tag));
-    EXPECT_EQ(Tag, std::to_string(I) + "/3");
-    for (std::size_t K = 0; K < Shard.size(); ++K)
-      EXPECT_EQ(Shard[K], Dynpref[I + 3 * K]);
-    Union.insert(Union.end(), Shard.begin(), Shard.end());
+TEST(ExperimentSpec, FiltersApplyInTurnAndABadOneLeavesSpecsAlone) {
+  std::vector<ExperimentSpec> Expected = defaultMatrix();
+  ASSERT_TRUE(applyFilter(Expected, "workload=mcf"));
+  ASSERT_TRUE(applyFilter(Expected, "prefetcher=none"));
+  ASSERT_FALSE(Expected.empty());
+  // Filters AND together, so their order on the command line is moot.
+  for (const std::vector<std::string> &Filters :
+       {std::vector<std::string>{"workload=mcf", "prefetcher=none"},
+        std::vector<std::string>{"prefetcher=none", "workload=mcf"}}) {
+    std::vector<ExperimentSpec> Specs = defaultMatrix();
+    ASSERT_TRUE(applyFilters(Specs, Filters));
+    EXPECT_EQ(Specs, Expected);
   }
-  EXPECT_EQ(Union.size(), Dynpref.size());
 
-  std::vector<ExperimentSpec> Plain = defaultMatrix();
-  std::string Tag = "stale";
-  ASSERT_TRUE(applyFilters(Plain, {"mode=dynpref"}, Tag));
-  EXPECT_EQ(Tag, "");
-  EXPECT_EQ(Plain, Dynpref);
-
-  std::vector<ExperimentSpec> Twice = defaultMatrix();
+  std::vector<ExperimentSpec> Specs = defaultMatrix();
   std::string Error;
-  EXPECT_FALSE(applyFilters(Twice, {"shard=0/2", "shard=1/2"}, Tag, &Error));
-  EXPECT_FALSE(Error.empty());
-  EXPECT_EQ(Twice.size(), defaultMatrix().size());
+  EXPECT_FALSE(
+      applyFilters(Specs, {"workload=mcf", "mode=spicy", "seed=1"}, &Error));
+  EXPECT_NE(Error.find("unknown mode 'spicy'"), std::string::npos) << Error;
+  EXPECT_EQ(Specs, defaultMatrix());
 }
 
 //===----------------------------------------------------------------------===//
-// runMatrix determinism and failure isolation
+// runMatrix threads, determinism and failure isolation
 //===----------------------------------------------------------------------===//
+
+/// \p Count Original-mode vpr specs of a few iterations each.  Spec I runs
+/// 10 + I iterations, so a result shows which spec it came from.
+std::vector<ExperimentSpec> tinySpecs(std::size_t Count) {
+  std::vector<ExperimentSpec> Specs(Count);
+  for (std::size_t I = 0; I < Count; ++I) {
+    Specs[I].Workload = "vpr";
+    Specs[I].Mode = core::RunMode::Original;
+    Specs[I].Iterations = 10 + I;
+  }
+  return Specs;
+}
+
+TEST(RunMatrix, RunsEverySpecWithoutACallback) {
+  const std::vector<ExperimentSpec> Specs = tinySpecs(32);
+  const std::vector<RunResult> Results = runMatrix(Specs, 4);
+  ASSERT_EQ(Results.size(), Specs.size());
+  for (std::size_t I = 0; I < Results.size(); ++I) {
+    EXPECT_TRUE(Results[I].ok()) << I;
+    EXPECT_EQ(Results[I].Iterations, 10 + I);
+  }
+}
+
+TEST(RunMatrix, CallbackRunsSeriallyAndSeesEveryIndexOnce) {
+  // Eight threads race through 24 specs.  The callback's counter and
+  // vector are unsynchronized: only runMatrix's mutex orders the calls,
+  // so under TSan this checks that each one holds it.
+  const std::vector<ExperimentSpec> Specs = tinySpecs(24);
+  std::size_t Calls = 0;
+  std::vector<std::size_t> Seen;
+  const std::vector<RunResult> Results =
+      runMatrix(Specs, 8, [&](std::size_t Index, const RunResult &Result) {
+        ++Calls;
+        Seen.push_back(Index);
+        EXPECT_EQ(Result.Iterations, Specs[Index].Iterations);
+      });
+  EXPECT_EQ(Calls, Specs.size());
+  std::sort(Seen.begin(), Seen.end());
+  for (std::size_t I = 0; I < Seen.size(); ++I)
+    EXPECT_EQ(Seen[I], I);
+  ASSERT_EQ(Results.size(), Specs.size());
+  for (std::size_t I = 0; I < Results.size(); ++I) {
+    EXPECT_TRUE(Results[I].ok());
+    EXPECT_EQ(Results[I].Spec, Specs[I]);
+    EXPECT_EQ(Results[I].Iterations, 10 + I);
+  }
+}
+
+TEST(RunMatrix, ConcurrentMatricesShareNoState) {
+  // Two callers run the same matrix at once, each counting in a plain
+  // variable of its own; under TSan this checks that two runMatrix
+  // calls touch no common mutable state.
+  const std::vector<ExperimentSpec> Specs = tinySpecs(12);
+  std::size_t Calls[2] = {0, 0};
+  std::vector<RunResult> Results[2];
+  {
+    std::vector<std::jthread> Callers;
+    for (std::size_t C = 0; C < 2; ++C)
+      Callers.emplace_back([&, C] {
+        Results[C] = runMatrix(Specs, 4, [&Calls, C](std::size_t,
+                                                     const RunResult &) {
+          ++Calls[C];
+        });
+      });
+  }
+  const std::string Serial = resultsToJson(runMatrix(Specs, 1));
+  for (std::size_t C = 0; C < 2; ++C) {
+    EXPECT_EQ(Calls[C], Specs.size());
+    EXPECT_EQ(resultsToJson(Results[C]), Serial);
+  }
+}
+
+TEST(RunMatrix, ResultsComeBackInSpecOrderWhateverTheCompletionOrder) {
+  // The first specs are the longest, so with four threads the later,
+  // shorter ones tend to finish first; the results still come back in
+  // spec order.
+  std::vector<ExperimentSpec> Specs = tinySpecs(12);
+  for (std::size_t I = 0; I < Specs.size(); ++I)
+    Specs[I].Iterations = 10 + 40 * (Specs.size() - I);
+  std::vector<std::size_t> Completed;
+  const std::vector<RunResult> Results =
+      runMatrix(Specs, 4, [&](std::size_t Index, const RunResult &) {
+        Completed.push_back(Index);
+      });
+  ASSERT_EQ(Completed.size(), Specs.size());
+  ASSERT_EQ(Results.size(), Specs.size());
+  for (std::size_t I = 0; I < Results.size(); ++I) {
+    EXPECT_TRUE(Results[I].ok());
+    EXPECT_EQ(Results[I].Spec, Specs[I]);
+    EXPECT_EQ(Results[I].Iterations, Specs[I].Iterations);
+  }
+}
+
+TEST(RunMatrix, CallbackFiresAsEachSpecFinishes) {
+  // On one thread a spec finishes before the next starts, so the
+  // callback sees the specs in order, each with its final result.
+  const std::vector<ExperimentSpec> Specs = tinySpecs(4);
+  std::vector<std::size_t> Order;
+  std::vector<RunResult> Seen;
+  const std::vector<RunResult> Results =
+      runMatrix(Specs, 1, [&](std::size_t Index, const RunResult &Result) {
+        Order.push_back(Index);
+        Seen.push_back(Result);
+      });
+  EXPECT_EQ(Order, (std::vector<std::size_t>{0, 1, 2, 3}));
+  EXPECT_EQ(resultsToJson(Seen), resultsToJson(Results));
+}
+
+TEST(RunMatrix, ZeroJobsBehavesLikeOne) {
+  const std::vector<ExperimentSpec> Specs = tinySpecs(4);
+  std::size_t Calls = 0;
+  std::set<std::thread::id> Threads;
+  const std::vector<RunResult> Results =
+      runMatrix(Specs, 0, [&](std::size_t, const RunResult &) {
+        ++Calls;
+        Threads.insert(std::this_thread::get_id());
+      });
+  EXPECT_EQ(Calls, Specs.size());
+  EXPECT_EQ(Threads.size(), 1u);
+  EXPECT_EQ(resultsToJson(Results), resultsToJson(runMatrix(Specs, 1)));
+}
+
+TEST(RunMatrix, MoreJobsThanSpecsStartsOneThreadPerSpecAtMost) {
+  const std::vector<ExperimentSpec> Specs = tinySpecs(3);
+  std::set<std::thread::id> Threads;
+  const std::vector<RunResult> Results =
+      runMatrix(Specs, 64, [&](std::size_t, const RunResult &) {
+        Threads.insert(std::this_thread::get_id());
+      });
+  EXPECT_LE(Threads.size(), Specs.size());
+  EXPECT_EQ(resultsToJson(Results), resultsToJson(runMatrix(Specs, 1)));
+}
+
+TEST(RunMatrix, EmptySpecListStartsNothing) {
+  std::size_t Calls = 0;
+  EXPECT_TRUE(runMatrix({}, 4, [&](std::size_t, const RunResult &) {
+                ++Calls;
+              }).empty());
+  EXPECT_EQ(Calls, 0u);
+}
 
 std::vector<ExperimentSpec> smallMatrix() {
   // vpr under every mode, at a fixed tiny iteration count so the whole
   // matrix stays fast even when run three times; one cell with a layout
-  // seed so the seed field round-trips through the JSON reader too.
+  // seed so the seed field reaches the JSON too.
   std::vector<ExperimentSpec> Specs;
   const core::RunMode Modes[] = {
       core::RunMode::Original,         core::RunMode::ChecksOnly,
@@ -377,31 +312,8 @@ TEST(RunMatrix, FailedShardKeepsOrderAndDoesNotPoisonNeighbours) {
   EXPECT_FALSE(Results[1].Error.empty());
   EXPECT_EQ(Results[1].Spec.Workload, "no-such-workload");
   EXPECT_TRUE(Results[2].ok());
-  // The two good shards are the same experiment: identical cycles.
+  // The two good cells are the same experiment: identical cycles.
   EXPECT_EQ(Results[0].Cycles, Results[2].Cycles);
-}
-
-TEST(RunMatrix, CancellationKeepsSpecOrderAndJoinsCleanly) {
-  const std::vector<ExperimentSpec> Specs = smallMatrix();
-  std::atomic<bool> Cancel{false};
-
-  // One job: deliveries happen in spec order.
-  const std::vector<RunResult> Results =
-      runMatrix(Specs, 1, &Cancel, [&Cancel](std::size_t, const RunResult &) {
-        Cancel.store(true); // request cancellation after the first delivery
-      });
-
-  ASSERT_EQ(Results.size(), Specs.size());
-  EXPECT_TRUE(Results[0].ok());
-  std::size_t Cancelled = 0;
-  for (std::size_t I = 0; I < Results.size(); ++I) {
-    // Every slot still carries its own spec, run or not.
-    EXPECT_EQ(Results[I].Spec.Workload, Specs[I].Workload);
-    EXPECT_EQ(Results[I].Spec.Mode, Specs[I].Mode);
-    if (Results[I].State == RunResult::Status::Cancelled)
-      ++Cancelled;
-  }
-  EXPECT_GE(Cancelled, 1u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -540,120 +452,117 @@ TEST(ResultsDiff, RejectsForeignDocuments) {
                            DiffOptions(), Report, Error));
 }
 
-//===----------------------------------------------------------------------===//
-// Shard merge (the --merge surface)
-//===----------------------------------------------------------------------===//
-
-/// Runs the shard=Index/Count slice of \p Specs as its own matrix and
-/// returns the tagged document a shard process would write.
-std::string shardJson(const std::vector<ExperimentSpec> &Specs,
-                      uint64_t Index, uint64_t Count) {
-  std::vector<ExperimentSpec> Shard = Specs;
-  std::string Tag;
-  EXPECT_TRUE(applyFilters(
-      Shard, {"shard=" + std::to_string(Index) + "/" + std::to_string(Count)},
-      Tag));
-  return resultsToJson(runMatrix(Shard, 1), TimingInfo(), Tag);
-}
-
-ResultsDocument decodeOrDie(const std::string &Json) {
-  ResultsDocument Doc;
-  std::string Error;
-  EXPECT_TRUE(decodeResults(Json, Doc, Error)) << Error;
-  return Doc;
-}
-
-TEST(ResultsMerge, ShardedRunsMergeToTheUnshardedBytes) {
-  // Includes the Original baseline in shard 0 only, so the merged
-  // overhead_pct figures must be recomputed, not copied; n = 8 exceeds
-  // the 7 cells and leaves shard 7 empty.
+/// A two-cell document: small enough to truncate and mutate byte by
+/// byte, and it carries an Original baseline for overhead_pct.
+std::string twoCellJson() {
   const std::vector<ExperimentSpec> Specs = smallMatrix();
-  const std::string Whole = jsonForJobs(Specs, 2);
-  for (uint64_t Count : {1u, 3u, 8u}) {
-    std::vector<ResultsDocument> Shards;
-    // Merge order is irrelevant: hand the shards over last to first.
-    for (uint64_t Index = Count; Index-- > 0;)
-      Shards.push_back(decodeOrDie(shardJson(Specs, Index, Count)));
-    ResultsDocument Merged;
-    std::string Error;
-    ASSERT_TRUE(mergeShards(Shards, Merged, Error)) << Error;
-    EXPECT_EQ(resultsToJson(Merged.Results), Whole) << "n = " << Count;
-  }
+  return jsonForJobs({Specs.front(), Specs.back()}, 1);
 }
 
-TEST(ResultsMerge, ErrorAndCancelledCellsRoundTrip) {
-  std::vector<RunResult> Results = runMatrix(smallMatrix(), 2);
-  Results[1].State = RunResult::Status::Error;
-  Results[1].Error = "synthetic \"quoted\" failure\n";
-  Results[2] = RunResult();
-  Results[2].Spec = smallMatrix()[2];
-  const std::string Json = resultsToJson(Results);
-  EXPECT_EQ(resultsToJson(decodeOrDie(Json).Results), Json);
-}
-
-TEST(ResultsMerge, EveryTruncatedDocumentIsRejected) {
-  const std::string Doc = shardJson(smallMatrix(), 2, 3);
-  ASSERT_EQ(Doc.back(), '\n');
-  ResultsDocument Out;
-  std::string Error;
-  // Dropping only the trailing newline leaves the whole JSON value.
-  ASSERT_TRUE(decodeResults(Doc.substr(0, Doc.size() - 1), Out, Error))
-      << Error;
-  for (std::size_t Len = 0; Len + 1 < Doc.size(); ++Len) {
-    Error.clear();
-    EXPECT_FALSE(decodeResults(Doc.substr(0, Len), Out, Error))
-        << "prefix of " << Len << " bytes decoded";
-    EXPECT_FALSE(Error.empty());
-  }
-}
-
-TEST(ResultsMerge, MalformedDocumentsAreRejectedWithAReason) {
-  const std::string Doc = shardJson(smallMatrix(), 0, 3);
-  auto Replace = [&Doc](const std::string &From, const std::string &To) {
-    std::string Out = Doc;
+TEST(ResultsDiff, CorruptDocumentsAreRejectedWithAReason) {
+  const std::string Doc = twoCellJson();
+  auto Replace = [&Doc](const std::string &From, const std::string &To,
+                        std::string Out = std::string()) {
+    if (Out.empty())
+      Out = Doc;
     const std::size_t At = Out.find(From);
     EXPECT_NE(At, std::string::npos) << From;
     return At == std::string::npos ? Out : Out.replace(At, From.size(), To);
   };
-  const std::vector<std::pair<std::string, std::string>> Cases = {
-      {"wrong schema", Replace("hds-matrix-results-v1", "hds-other-v1")},
-      {"bad shard tag", Replace("\"shard\": \"0/3\"", "\"shard\": \"3/3\"")},
-      {"spec_count", Replace("\"spec_count\": 3", "\"spec_count\": 4")},
-      {"negative counter", Replace("\"cycles\": ", "\"cycles\": -")},
-      {"fractional counter",
-       Replace("\"accesses\": ", "\"accesses\": 0.5")},
-      {"overflowing counter",
-       Replace("\"accesses\": ", "\"accesses\": 99999999999999999999")},
-      {"mistyped counter",
-       Replace("\"iterations\": ", "\"iterations\": \"1\"")},
-      {"missing metric", Replace("\"hits\": ", "\"hitz\": ")},
-      {"unknown field",
-       Replace("\"status\": ", "\"colour\": 1, \"status\": ")},
-      {"duplicate field", Replace("\"seed\": ", "\"seed\": 1, \"seed\": ")},
-      {"unknown mode",
-       Replace("\"mode\": \"original\"", "\"mode\": \"spicy\"")},
-      {"mode_name mismatch",
-       Replace("\"mode_name\": \"", "\"mode_name\": \"x")},
-      {"unknown status", Replace("\"status\": \"ok\"", "\"status\": \"meh\"")},
-      {"non-object cell", Replace("\"results\": [", "\"results\": [1, ")},
-      {"not an object", "[]"},
-      {"empty input", ""},
+  // The first cell's "cycles": N member, without its comma.
+  const std::size_t CyclesAt = Doc.find("\"cycles\": ");
+  const std::string Cycles =
+      Doc.substr(CyclesAt, Doc.find(',', CyclesAt) - CyclesAt);
+  struct Case {
+    const char *Name;
+    std::string Json;
+    const char *Reason;
   };
-  for (const auto &[Name, Json] : Cases) {
-    ResultsDocument Out;
-    std::string Error;
-    EXPECT_FALSE(decodeResults(Json, Out, Error)) << Name;
-    EXPECT_FALSE(Error.empty()) << Name;
+  const std::vector<Case> Cases = {
+      {"wrong schema", Replace("hds-matrix-results-v1", "hds-other-v1"),
+       "not an hds-matrix-results-v1 document"},
+      {"spec_count missing", Replace("\"spec_count\": 2,\n", ""),
+       "missing or non-integer spec_count"},
+      {"spec_count too large",
+       Replace("\"spec_count\": 2", "\"spec_count\": 3"),
+       "spec_count 3 does not match 2 results"},
+      {"spec_count too small",
+       Replace("\"spec_count\": 2", "\"spec_count\": 1"),
+       "spec_count 1 does not match 2 results"},
+      {"negative counter", Replace(Cycles, "\"cycles\": -5"),
+       "integer '-5' is not an unsigned 64-bit value"},
+      {"overflowing counter",
+       Replace("\"accesses\": ", "\"accesses\": 99999999999999999999"),
+       "is not an unsigned 64-bit value"},
+      {"duplicate member", Replace(Cycles, "\"cycles\": 1, " + Cycles),
+       "duplicate member 'cycles'"},
+      {"non-object cell",
+       Replace("\"results\": [", "\"results\": [1, ",
+               Replace("\"spec_count\": 2", "\"spec_count\": 3")),
+       "non-object cell"},
+      {"not an object", "[]", "not an hds-matrix-results-v1 document"},
+      {"empty input", "", "unexpected end of input"},
+  };
+  for (const Case &C : Cases) {
+    // Rejected whichever side of the comparison it is on.
+    for (const bool CorruptFirst : {false, true}) {
+      DiffReport Report;
+      std::string Error;
+      EXPECT_FALSE(CorruptFirst
+                       ? diffResults(C.Json, Doc, DiffOptions(), Report, Error)
+                       : diffResults(Doc, C.Json, DiffOptions(), Report, Error))
+          << C.Name;
+      EXPECT_NE(Error.find(C.Reason), std::string::npos)
+          << C.Name << ": " << Error;
+    }
   }
 }
 
-TEST(ResultsMerge, DuelSelectorCellsAreRejectedByName) {
+TEST(ResultsDiff, EveryTruncatedDocumentIsRejected) {
+  const std::string Doc = twoCellJson();
+  ASSERT_EQ(Doc.back(), '\n');
+  DiffReport Report;
+  std::string Error;
+  // Dropping only the trailing newline leaves the whole JSON value.
+  ASSERT_TRUE(diffResults(Doc.substr(0, Doc.size() - 1), Doc, DiffOptions(),
+                          Report, Error))
+      << Error;
+  for (std::size_t Len = 0; Len + 1 < Doc.size(); ++Len) {
+    Error.clear();
+    EXPECT_FALSE(
+        diffResults(Doc.substr(0, Len), Doc, DiffOptions(), Report, Error))
+        << "prefix of " << Len << " bytes read";
+    EXPECT_FALSE(Error.empty());
+  }
+}
+
+TEST(ResultsDiff, SeededByteMutationsNeverCrashTheReader) {
+  // Every accepted mutation must at least render a verdict; ASan is
+  // watching the rejected ones.
+  const std::string Doc = twoCellJson();
+  Rng Random(0x243F6A8885A308D3ull);
+  for (int Round = 0; Round < 2000; ++Round) {
+    std::string Mutated = Doc;
+    for (int Flip = 0; Flip < 1 + Round % 4; ++Flip)
+      Mutated[Random.nextBelow(Mutated.size())] =
+          static_cast<char>(Random.nextBelow(256));
+    DiffReport Report;
+    std::string Error;
+    if (diffResults(Mutated, Doc, DiffOptions(), Report, Error))
+      EXPECT_NE(Report.render("a", "b").find("verdict: "), std::string::npos);
+    else
+      EXPECT_FALSE(Error.empty());
+  }
+}
+
+TEST(ResultsDiff, DocumentsWithoutDuelPfPairWithCurrentOnes) {
   // The dueling selector is gone: every cell carries "duel_pf": false,
-  // documents without the field still decode, and a true one is refused.
-  const std::string Doc = shardJson(smallMatrix(), 0, 3);
+  // and documents from before the field existed still pair cell for
+  // cell with current ones.
+  const std::string Doc = twoCellJson();
   const std::string False = "\"duel_pf\": false";
   ASSERT_NE(Doc.find(False), std::string::npos);
-  ResultsDocument Out;
+  DiffReport Report;
   std::string Error;
 
   // Drop every "duel_pf" line (the field is never a cell's last).
@@ -664,59 +573,17 @@ TEST(ResultsMerge, DuelSelectorCellsAreRejectedByName) {
     Absent.erase(LineStart, At + Line.size() - LineStart);
   }
   ASSERT_EQ(Absent.find("duel_pf"), std::string::npos);
-  ASSERT_TRUE(decodeResults(Absent, Out, Error)) << Error;
-  EXPECT_EQ(resultsToJson(Out.Results, TimingInfo(), "0/3"), Doc);
+  ASSERT_TRUE(diffResults(Absent, Doc, DiffOptions(), Report, Error)) << Error;
+  EXPECT_FALSE(Report.regressed());
+  EXPECT_EQ(Report.CellsCompared, 2u);
 
+  // A cell that claims the selector is a different cell.
   std::string True = Doc;
   True.replace(True.find(False), False.size(), "\"duel_pf\": true");
-  Error.clear();
-  EXPECT_FALSE(decodeResults(True, Out, Error));
-  EXPECT_NE(Error.find("dueling selector was removed"), std::string::npos)
-      << Error;
-}
-
-TEST(ResultsMerge, SeededByteMutationsNeverCrashTheDecoder) {
-  // Every accepted mutation must at least re-render; ASan is watching
-  // the rejected ones.
-  const std::string Doc = shardJson(smallMatrix(), 1, 3);
-  Rng Random(0x243F6A8885A308D3ull);
-  for (int Round = 0; Round < 2000; ++Round) {
-    std::string Mutated = Doc;
-    for (int Flip = 0; Flip < 1 + Round % 4; ++Flip)
-      Mutated[Random.nextBelow(Mutated.size())] =
-          static_cast<char>(Random.nextBelow(256));
-    ResultsDocument Out;
-    std::string Error;
-    if (decodeResults(Mutated, Out, Error))
-      EXPECT_FALSE(resultsToJson(Out.Results).empty());
-    else
-      EXPECT_FALSE(Error.empty());
-  }
-}
-
-TEST(ResultsMerge, InconsistentShardSetsAreRejected) {
-  const std::vector<ExperimentSpec> Specs = smallMatrix();
-  const ResultsDocument S0 = decodeOrDie(shardJson(Specs, 0, 3));
-  const ResultsDocument S1 = decodeOrDie(shardJson(Specs, 1, 3));
-  const ResultsDocument S2 = decodeOrDie(shardJson(Specs, 2, 3));
-  const ResultsDocument Half = decodeOrDie(shardJson(Specs, 1, 2));
-  ResultsDocument Short = S2;
-  Short.Results.pop_back();
-
-  const std::vector<std::pair<std::vector<ResultsDocument>, std::string>>
-      Cases = {
-          {{}, "no documents"},
-          {{S0, S1, S1}, "given twice"},
-          {{S0, S2}, "shard 1/3 is missing"},
-          {{S0, S1, Half}, "different n"},
-          {{S0, S1, Short}, "holds"},
-      };
-  for (const auto &[Docs, Reason] : Cases) {
-    ResultsDocument Merged;
-    std::string Error;
-    EXPECT_FALSE(mergeShards(Docs, Merged, Error)) << Reason;
-    EXPECT_NE(Error.find(Reason), std::string::npos) << Error;
-  }
+  DiffReport Changed;
+  ASSERT_TRUE(diffResults(Doc, True, DiffOptions(), Changed, Error)) << Error;
+  EXPECT_EQ(Changed.OnlyInA.size(), 1u);
+  EXPECT_EQ(Changed.OnlyInB.size(), 1u);
 }
 
 } // namespace

@@ -5,8 +5,8 @@
 // Tests for the typed observability layer (src/obs) and the engine's
 // metric registry built on top of it: the cycle account's clock/phase
 // coupling, the phase timeline invariants, stable-id uniqueness, and the
-// registry <-> JSON writer <-> JSON reader agreement that makes the
-// metric ids the one source of truth for the results format.
+// registry <-> JSON writer <-> --diff agreement that makes the metric
+// ids the one source of truth for the results format.
 //
 //===----------------------------------------------------------------------===//
 
@@ -21,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
 #include <type_traits>
@@ -254,17 +255,17 @@ TEST(MetricRegistryTest, IdentityFieldsMatchTheSpecEcho) {
 }
 
 //===----------------------------------------------------------------------===//
-// Registry <-> JSON writer <-> JSON reader agreement
+// Registry <-> JSON writer <-> --diff agreement
 //===----------------------------------------------------------------------===//
 
-/// An Ok result with every registered counter set to a distinct value.
-RunResult denseResult() {
+/// An Ok result with every registered counter set to a distinct value,
+/// counting up from \p Fill.
+RunResult denseResult(uint64_t Fill = 1000) {
   RunResult Result;
   Result.Spec.Workload = "vpr";
   Result.State = RunResult::Status::Ok;
   Result.Iterations = 5;
   Result.Cycles = 99;
-  uint64_t Fill = 1000;
   auto Assign = [&Fill](const obs::MetricDef &, auto &Field) {
     Field = static_cast<std::remove_reference_t<decltype(Field)>>(Fill++);
   };
@@ -309,16 +310,42 @@ TEST(MetricRegistryTest, EveryRegisteredIdAppearsInTheJson) {
     }
 }
 
-TEST(MetricRegistryTest, JsonRoundTripPreservesEveryRegisteredMetric) {
-  const std::string Json =
-      resultsToJson(std::vector<RunResult>{denseResult()}, perResultTiming());
-  ResultsDocument Decoded;
+TEST(MetricRegistryTest, DiffComparesEveryRegisteredMetric) {
+  // Two results that differ in every registered field: the diff must
+  // report a change under each id, so no metric the writer emits escapes
+  // the --diff gate.  wall_ns is the one exception by design: the wall
+  // gate compares the rate, never the raw time (engine/ResultsDiff.h).
+  const std::string A =
+      resultsToJson(std::vector<RunResult>{denseResult(1000)},
+                    perResultTiming());
+  const std::string B =
+      resultsToJson(std::vector<RunResult>{denseResult(2000)},
+                    perResultTiming());
+  DiffOptions Opts;
+  Opts.WallThresholdPct = 0.0;
+  DiffReport Report;
   std::string Error;
-  ASSERT_TRUE(decodeResults(Json, Decoded, Error)) << Error;
-  EXPECT_TRUE(Decoded.PerResultTiming);
-  // Byte-identical JSON == every registered field survived the trip
-  // (timing enabled so the wall-clock gauges are covered too).
-  EXPECT_EQ(resultsToJson(Decoded.Results, perResultTiming()), Json);
+  ASSERT_TRUE(diffResults(A, B, Opts, Report, Error)) << Error;
+  std::vector<std::string> Paths;
+  for (const std::vector<DiffLine> *Lines :
+       {&Report.Regressions, &Report.Improvements, &Report.MetricChanges})
+    for (const DiffLine &Line : *Lines)
+      Paths.push_back(Line.Detail.substr(0, Line.Detail.find(' ')));
+  for (const MetricBlock &Block : metricRegistry())
+    for (const obs::MetricDef &Def : Block.Metrics) {
+      if (std::string(Def.Id) == "wall_ns")
+        continue;
+      const std::string Suffix = std::string(".") + Def.Id;
+      const bool Reported = std::any_of(
+          Paths.begin(), Paths.end(), [&](const std::string &Path) {
+            return Path == Def.Id ||
+                   (Path.size() > Suffix.size() &&
+                    Path.compare(Path.size() - Suffix.size(), Suffix.size(),
+                                 Suffix) == 0);
+          });
+      EXPECT_TRUE(Reported) << "metric " << Block.Name << "." << Def.Id
+                            << " changed but the diff did not report it";
+    }
 }
 
 } // namespace

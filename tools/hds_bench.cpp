@@ -23,7 +23,7 @@
 //     --scale F             iteration scale factor (default 1.0)
 //     --repeat N            timed runs per cell, fastest kept (default 3)
 //     --filter key=value    narrow the matrix (workload=, mode=, seed=,
-//                           shard=i/n)
+//                           prefetcher=, tuning=)
 //     --out FILE            write results JSON here ('-' = stdout)
 //     --quiet               suppress the summary table
 //
@@ -115,12 +115,12 @@ int main(int Argc, char **Argv) {
 
   std::vector<engine::ExperimentSpec> Specs =
       engine::defaultMatrix(Opts.Scale);
-  std::string Shard, Error;
-  if (!engine::applyFilters(Specs, Opts.Filters, Shard, &Error)) {
+  std::string Error;
+  if (!engine::applyFilters(Specs, Opts.Filters, &Error)) {
     std::fprintf(stderr, "error: %s\n", Error.c_str());
     return 2;
   }
-  if (Specs.empty() && Shard.empty()) {
+  if (Specs.empty()) {
     std::fprintf(stderr, "error: filters matched no cells\n");
     return 2;
   }
@@ -145,8 +145,7 @@ int main(int Argc, char **Argv) {
       auto Row = Summary.row();
       Row.cell(Result.Spec.label());
       if (!Result.ok()) {
-        Row.cell(Result.State == engine::RunResult::Status::Error ? "error"
-                                                                  : "cancelled");
+        Row.cell("error");
         continue;
       }
       Row.cell("ok")
@@ -165,7 +164,7 @@ int main(int Argc, char **Argv) {
     Timing.WallMillis = SuiteNanos / 1000000u;
     Timing.Jobs = 1;
     Timing.IncludePerResult = true;
-    const std::string Json = engine::resultsToJson(Results, Timing, Shard);
+    const std::string Json = engine::resultsToJson(Results, Timing);
     if (Opts.OutPath == "-") {
       std::fwrite(Json.data(), 1, Json.size(), stdout);
     } else {

@@ -4,30 +4,24 @@
 //
 // Runs the (workload × RunMode × seed × scale) experiment matrix through
 // engine::runMatrix and emits machine-readable results.  The output is
-// byte-identical for any --jobs value, and a sweep split across
-// processes with --filter shard=i/n merges back (--merge) to the very
-// same bytes, so trajectory files can be diffed across machines and
-// thread counts (see docs/engine.md for the determinism contract and the
-// JSON schema).
+// byte-identical for any --jobs value, so trajectory files can be
+// diffed across machines and thread counts (see docs/engine.md for the
+// determinism contract and the JSON schema).
 //
 // Usage:
 //   hds_matrix [options]
-//     --jobs N              worker threads (default: hardware concurrency)
+//     --jobs N              worker threads (default: hardware concurrency,
+//                           N <= 256)
 //     --scale F             iteration scale factor (default 1.0)
 //     --seeds N             add layout-seed variants 1..N of every cell
 //                           (N <= 1000)
 //     --filter key=value    narrow the matrix (workload=mcf, mode=dynpref,
-//                           seed=3, shard=0/3); repeatable, filters AND
-//                           together, shard= applies last
+//                           seed=3); repeatable, filters AND together
 //     --out FILE            write the results JSON to FILE ("-" = stdout)
 //     --timing              include wall-clock timing in the JSON (makes
 //                           the output non-deterministic by design)
 //     --list                print the selected specs and exit
 //     --quiet               suppress the progress lines on stderr
-//
-//   Shard merge:
-//     --merge FILE          a shard document to merge (repeat once per
-//                           shard); writes the merged JSON to --out
 //
 //   Result comparison:
 //     --diff A.json B.json  compare two results files cell-by-cell;
@@ -65,6 +59,11 @@ namespace {
 /// from allocating specs until memory runs out.
 constexpr uint64_t MaxSeeds = 1000;
 
+/// Most worker threads --jobs may ask for.  runMatrix never starts more
+/// threads than there are specs, but the bound rejects a typo while
+/// parsing, before any thread exists.
+constexpr unsigned MaxJobs = 256;
+
 struct Options {
   unsigned Jobs = 0; // 0 = hardware concurrency
   double Scale = 1.0;
@@ -74,9 +73,6 @@ struct Options {
   bool Timing = false;
   bool List = false;
   bool Quiet = false;
-
-  // Merge mode.
-  std::vector<std::string> MergePaths;
 
   // Diff mode.
   std::string DiffA, DiffB;
@@ -89,11 +85,10 @@ struct Options {
       stderr,
       "usage: %s [--jobs N] [--scale F] [--seeds N] [--filter key=value]...\n"
       "          [--out FILE] [--timing] [--list] [--quiet]\n"
-      "       %s --merge SHARD.json... [--out FILE] [--quiet]\n"
       "       %s --diff A.json B.json [--threshold PCT] "
       "[--wall-threshold PCT]\n"
       "%s",
-      Binary, Binary, Binary, engine::filterHelp().c_str());
+      Binary, Binary, engine::filterHelp().c_str());
   std::exit(2);
 }
 
@@ -101,7 +96,7 @@ Options parseOptions(int Argc, char **Argv) {
   Options Opts;
   const char *Binary = Argv[0];
   cli::OptionSet Set([Binary] { usage(Binary); });
-  Set.uns("--jobs", Opts.Jobs)
+  Set.uns("--jobs", Opts.Jobs, MaxJobs)
       .positiveDouble("--scale", Opts.Scale)
       .u64("--seeds", Opts.Seeds)
       .strList("--filter", Opts.Filters)
@@ -109,7 +104,6 @@ Options parseOptions(int Argc, char **Argv) {
       .flag("--timing", Opts.Timing)
       .flag("--list", Opts.List)
       .flag("--quiet", Opts.Quiet)
-      .strList("--merge", Opts.MergePaths)
       .strPair("--diff", Opts.DiffA, Opts.DiffB)
       .nonNegativeDouble("--threshold", Opts.ThresholdPct)
       .nonNegativeDouble("--wall-threshold", Opts.WallThresholdPct);
@@ -118,10 +112,6 @@ Options parseOptions(int Argc, char **Argv) {
     std::fprintf(stderr, "error: --seeds %llu exceeds the limit of %llu\n",
                  static_cast<unsigned long long>(Opts.Seeds),
                  static_cast<unsigned long long>(MaxSeeds));
-    std::exit(2);
-  }
-  if (!Opts.MergePaths.empty() && !Opts.DiffA.empty()) {
-    std::fprintf(stderr, "error: --merge excludes --diff\n");
     std::exit(2);
   }
   return Opts;
@@ -152,9 +142,7 @@ void printSummary(const std::vector<engine::RunResult> &Results) {
     auto Row = Out.row();
     Row.cell(Result.Spec.label());
     if (!Result.ok()) {
-      Row.cell(Result.State == engine::RunResult::Status::Error
-                   ? "ERROR"
-                   : "cancelled");
+      Row.cell("ERROR");
       continue;
     }
     Row.cell("ok")
@@ -190,21 +178,21 @@ int runDiffMode(const Options &Opts) {
 }
 
 /// Prints the summary table and writes the JSON to --out; exits 1 when
-/// any cell errored (the shared tail of run and merge mode).
+/// any cell errored.
 int writeResults(const Options &Opts,
                  const std::vector<engine::RunResult> &Results,
-                 const engine::TimingInfo &Timing, const std::string &Shard) {
+                 const engine::TimingInfo &Timing) {
   // With --out - the JSON owns stdout; keep the human table off it.
   if (Opts.OutPath != "-")
     printSummary(Results);
 
   bool AnyError = false;
   for (const engine::RunResult &Result : Results)
-    if (Result.State == engine::RunResult::Status::Error)
+    if (!Result.ok())
       AnyError = true;
 
   if (!Opts.OutPath.empty()) {
-    const std::string Json = engine::resultsToJson(Results, Timing, Shard);
+    const std::string Json = engine::resultsToJson(Results, Timing);
     if (Opts.OutPath == "-") {
       std::fwrite(Json.data(), 1, Json.size(), stdout);
     } else {
@@ -225,34 +213,6 @@ int writeResults(const Options &Opts,
   return AnyError ? 1 : 0;
 }
 
-int runMergeMode(const Options &Opts) {
-  std::vector<engine::ResultsDocument> Shards;
-  for (const std::string &Path : Opts.MergePaths) {
-    bool Ok = false;
-    const std::string Json = readWholeFile(Path, Ok);
-    if (!Ok) {
-      std::fprintf(stderr, "error: cannot read '%s'\n", Path.c_str());
-      return 2;
-    }
-    engine::ResultsDocument Shard;
-    std::string Error;
-    if (!engine::decodeResults(Json, Shard, Error)) {
-      std::fprintf(stderr, "error: %s: %s\n", Path.c_str(), Error.c_str());
-      return 2;
-    }
-    Shards.push_back(std::move(Shard));
-  }
-  engine::ResultsDocument Merged;
-  std::string Error;
-  if (!engine::mergeShards(Shards, Merged, Error)) {
-    std::fprintf(stderr, "error: %s\n", Error.c_str());
-    return 2;
-  }
-  engine::TimingInfo Timing;
-  Timing.IncludePerResult = Merged.PerResultTiming;
-  return writeResults(Opts, Merged.Results, Timing, std::string());
-}
-
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -260,8 +220,6 @@ int main(int Argc, char **Argv) {
 
   if (!Opts.DiffA.empty())
     return runDiffMode(Opts);
-  if (!Opts.MergePaths.empty())
-    return runMergeMode(Opts);
 
   std::vector<engine::ExperimentSpec> Specs =
       engine::defaultMatrix(Opts.Scale);
@@ -274,14 +232,12 @@ int main(int Argc, char **Argv) {
         Specs.push_back(Variant);
       }
   }
-  std::string Shard, Error;
-  if (!engine::applyFilters(Specs, Opts.Filters, Shard, &Error)) {
+  std::string Error;
+  if (!engine::applyFilters(Specs, Opts.Filters, &Error)) {
     std::fprintf(stderr, "error: %s\n", Error.c_str());
     return 2;
   }
-  // A shard past the end of a short list is legitimately empty; it still
-  // writes its (empty) document so the merge sees every shard.
-  if (Specs.empty() && Shard.empty()) {
+  if (Specs.empty()) {
     std::fprintf(stderr, "error: filters selected no experiments\n");
     return 2;
   }
@@ -301,20 +257,16 @@ int main(int Argc, char **Argv) {
   engine::OnResult Progress;
   const size_t Total = Specs.size();
   if (!Opts.Quiet)
-    // Mutable counter; deliveries are serialized under the sink lock.
+    // Mutable counter; runMatrix serializes the callback.
     Progress = [Total, Done = size_t{0}](size_t,
                                          const engine::RunResult &R) mutable {
       std::fprintf(stderr, "[%zu/%zu] %s: %s\n", ++Done, Total,
-                   R.Spec.label().c_str(),
-                   R.ok() ? "ok"
-                          : (R.State == engine::RunResult::Status::Error
-                                 ? R.Error.c_str()
-                                 : "cancelled"));
+                   R.Spec.label().c_str(), R.ok() ? "ok" : R.Error.c_str());
     };
 
   const auto Start = std::chrono::steady_clock::now();
   const std::vector<engine::RunResult> Results =
-      engine::runMatrix(Specs, Jobs, nullptr, std::move(Progress));
+      engine::runMatrix(Specs, Jobs, std::move(Progress));
   const auto End = std::chrono::steady_clock::now();
 
   if (Opts.Timing) {
@@ -325,5 +277,5 @@ int main(int Argc, char **Argv) {
     Timing.Jobs = Jobs;
   }
 
-  return writeResults(Opts, Results, Timing, Shard);
+  return writeResults(Opts, Results, Timing);
 }
