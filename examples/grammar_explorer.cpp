@@ -59,20 +59,21 @@ int main(int Argc, char **Argv) {
               "input symbols) --\n",
               Grammar.ruleCount(), Grammar.totalRhsSymbols(),
               Grammar.inputLength());
-  // Print with single-character terminals.
-  for (const sequitur::Rule *R : Grammar.rules()) {
-    std::printf("R%u ->", R->id());
-    for (sequitur::Symbol *S = R->first(); !S->isGuard(); S = S->next()) {
-      if (S->isTerminal())
-        std::printf(" %s",
-                    SymbolName(static_cast<uint32_t>(S->terminal())).c_str());
+  // Print with single-character terminals; rules are numbered densely, as
+  // the analysis table below numbers them.
+  const sequitur::GrammarSnapshot Snapshot = Grammar.snapshot();
+  for (uint32_t R = 0; R < Snapshot.Rules.size(); ++R) {
+    std::printf("R%u ->", R);
+    for (const sequitur::GrammarSnapshot::Item &It : Snapshot.Rules[R].Rhs) {
+      if (It.IsRule)
+        std::printf(" R%u", It.RuleIndex);
       else
-        std::printf(" R%u", S->rule()->id());
+        std::printf(" %s",
+                    SymbolName(static_cast<uint32_t>(It.Terminal)).c_str());
     }
     std::printf("\n");
   }
 
-  const sequitur::GrammarSnapshot Snapshot = Grammar.snapshot();
   const analysis::FastAnalysisResult Result =
       analysis::analyzeHotStreams(Snapshot, Config);
 

@@ -15,10 +15,11 @@
 #ifndef HDS_ANALYSIS_DATAREF_H
 #define HDS_ANALYSIS_DATAREF_H
 
+#include "support/Rng.h"
+
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 namespace hds {
@@ -34,14 +35,6 @@ struct DataRef {
   }
 };
 
-struct DataRefHash {
-  size_t operator()(const DataRef &Ref) const {
-    uint64_t H = Ref.Addr * 0x100000001B3ULL;
-    H ^= Ref.Pc + 0x9E3779B97F4A7C15ULL + (H << 6) + (H >> 2);
-    return static_cast<size_t>(H);
-  }
-};
-
 /// Dense id assigned to an interned DataRef.
 using RefId = uint32_t;
 
@@ -53,20 +46,30 @@ inline constexpr RefId InvalidRefId = ~RefId{0};
 /// Sequitur terminals, hot data stream elements, and DFSM symbols are all
 /// RefIds; this table is the single place that maps them back to concrete
 /// program points and addresses when injecting checks and prefetches.
+///
+/// The references sit in one vector in id order; an open-addressed index
+/// of ids (linear probing, load at most 1/2) finds them by value.  Ids are
+/// handed out in first-seen order and live as long as the table, so the
+/// index never deletes: it is only rebuilt, in id order, when it grows.
+/// Nothing is allocated before the first intern().
 class DataRefTable {
 public:
   /// Returns the id for \p Ref, creating one on first sight.
   RefId intern(const DataRef &Ref) {
-    auto [It, Inserted] = Index.try_emplace(Ref, RefId(Refs.size()));
-    if (Inserted)
-      Refs.push_back(Ref);
-    return It->second;
+    if (!Slots.empty()) {
+      const size_t Slot = probe(Ref);
+      if (Slots[Slot] != InvalidRefId)
+        return Slots[Slot];
+      if (2 * (Refs.size() + 1) <= Slots.size())
+        return insertAt(Slot, Ref);
+    }
+    growIndex();
+    return insertAt(probe(Ref), Ref);
   }
 
   /// Returns the id for \p Ref if it was interned before, or InvalidRefId.
   RefId lookup(const DataRef &Ref) const {
-    auto It = Index.find(Ref);
-    return It == Index.end() ? InvalidRefId : It->second;
+    return Slots.empty() ? InvalidRefId : Slots[probe(Ref)];
   }
 
   const DataRef &refOf(RefId Id) const {
@@ -76,14 +79,45 @@ public:
 
   size_t size() const { return Refs.size(); }
 
+  /// Bytes held by the reference vector and the index.
+  size_t storeBytes() const {
+    return Refs.capacity() * sizeof(DataRef) +
+           Slots.capacity() * sizeof(RefId);
+  }
+
   void clear() {
-    Index.clear();
     Refs.clear();
+    Slots.clear();
   }
 
 private:
-  std::unordered_map<DataRef, RefId, DataRefHash> Index;
-  std::vector<DataRef> Refs;
+  /// The slot holding \p Ref's id, or the empty slot where it would go.
+  size_t probe(const DataRef &Ref) const {
+    const size_t Mask = Slots.size() - 1;
+    size_t Slot =
+        splitMix64(Ref.Addr ^ (Ref.Pc * 0x9E3779B97F4A7C15ULL)) & Mask;
+    while (Slots[Slot] != InvalidRefId && !(Refs[Slots[Slot]] == Ref))
+      Slot = (Slot + 1) & Mask;
+    return Slot;
+  }
+
+  RefId insertAt(size_t Slot, const DataRef &Ref) {
+    const RefId Id = static_cast<RefId>(Refs.size());
+    Slots[Slot] = Id;
+    Refs.push_back(Ref);
+    return Id;
+  }
+
+  /// Doubles the index (16 slots at first) and re-inserts every id in
+  /// id order.
+  void growIndex() {
+    Slots.assign(Slots.empty() ? 16 : 2 * Slots.size(), InvalidRefId);
+    for (RefId Id = 0; Id < Refs.size(); ++Id)
+      Slots[probe(Refs[Id])] = Id;
+  }
+
+  std::vector<DataRef> Refs; ///< index == id
+  std::vector<RefId> Slots;  ///< power-of-two size; InvalidRefId when empty
 };
 
 } // namespace analysis

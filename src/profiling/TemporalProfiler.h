@@ -21,7 +21,6 @@
 #include "sequitur/Grammar.h"
 
 #include <cstdint>
-#include <memory>
 #include <unordered_map>
 
 namespace hds {
@@ -31,12 +30,10 @@ namespace profiling {
 /// interning table.
 class TemporalProfiler {
 public:
-  TemporalProfiler() : TheGrammar(std::make_unique<sequitur::Grammar>()) {}
-
   /// Interns \p Ref and appends it to the grammar.  Returns the id.
   analysis::RefId recordRef(const analysis::DataRef &Ref) {
     const analysis::RefId Id = Refs.intern(Ref);
-    TheGrammar->append(Id);
+    TheGrammar.append(Id);
     ++TracedRefs;
     ++PcCounts[Ref.Pc];
     return Id;
@@ -50,8 +47,8 @@ public:
     return It == PcCounts.end() ? 0 : It->second;
   }
 
-  const sequitur::Grammar &grammar() const { return *TheGrammar; }
-  sequitur::Grammar &grammar() { return *TheGrammar; }
+  const sequitur::Grammar &grammar() const { return TheGrammar; }
+  sequitur::Grammar &grammar() { return TheGrammar; }
 
   const analysis::DataRefTable &refTable() const { return Refs; }
   analysis::DataRefTable &refTable() { return Refs; }
@@ -59,17 +56,19 @@ public:
   /// References traced in the current profiling cycle.
   uint64_t tracedRefCount() const { return TracedRefs; }
 
-  /// Starts a new profiling cycle: fresh grammar, empty counter.  The
-  /// interning table persists across cycles so reference ids stay stable.
+  /// Starts a new profiling cycle: empty grammar (its buffers keep their
+  /// capacity), empty counter.  The interning table persists across cycles
+  /// so reference ids, and the DFSM state order that follows them, stay
+  /// stable for the whole run (DESIGN.md §2).
   void startNewCycle() {
-    TheGrammar = std::make_unique<sequitur::Grammar>();
+    TheGrammar.clear();
     TracedRefs = 0;
     PcCounts.clear();
   }
 
 private:
   analysis::DataRefTable Refs;
-  std::unique_ptr<sequitur::Grammar> TheGrammar;
+  sequitur::Grammar TheGrammar;
   uint64_t TracedRefs = 0;
   std::unordered_map<uint64_t, uint64_t> PcCounts;
 };

@@ -8,6 +8,7 @@
 
 #include "support/Table.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 
@@ -46,6 +47,7 @@ public:
   bool failed() const { return Failed; }
   size_t position() const { return Pos; }
   bool atEnd() const { return Pos == Bytes.size(); }
+  size_t remaining() const { return Bytes.size() - Pos; }
 
   bool takeRaw(const char *Expected, size_t Length) {
     if (Failed || Pos + Length > Bytes.size() ||
@@ -89,7 +91,7 @@ public:
 
   std::string takeString() {
     const uint64_t Length = takeVarint();
-    if (Failed || Pos + Length > Bytes.size()) {
+    if (Failed || Length > remaining()) {
       Failed = true;
       return std::string();
     }
@@ -231,7 +233,9 @@ bool hds::replay::deserializeTrace(const std::string &Bytes, Trace &Out,
   const uint64_t EventCount = In.takeVarint();
   if (In.failed())
     return fail(Error, "truncated event count");
-  Out.Events.reserve(EventCount);
+  // Every event takes at least one byte, so a count larger than the bytes
+  // left is a lie; never let it size the reservation.
+  Out.Events.reserve(std::min<uint64_t>(EventCount, In.remaining()));
   for (uint64_t I = 0; I < EventCount; ++I) {
     TraceEvent E;
     const uint64_t Opcode = In.takeVarint();

@@ -33,50 +33,15 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace hds {
 namespace sequitur {
 
-class Rule;
-class Grammar;
-
-/// One node in a rule's right-hand side (or a rule's guard node).
-/// Symbols form a circular doubly-linked list per rule, with the guard as
-/// the sentinel.
-class Symbol {
-public:
-  enum class SymbolKind : uint8_t { Terminal, NonTerminal, Guard };
-
-  bool isGuard() const { return Kind == SymbolKind::Guard; }
-  bool isNonTerminal() const { return Kind == SymbolKind::NonTerminal; }
-  bool isTerminal() const { return Kind == SymbolKind::Terminal; }
-
-  /// The terminal value; only valid for terminal symbols.
-  uint64_t terminal() const;
-
-  /// The referenced rule (non-terminals) or owning rule (guards).
-  Rule *rule() const;
-
-  Symbol *next() const { return Next; }
-  Symbol *prev() const { return Prev; }
-
-private:
-  friend class Grammar;
-  friend class Rule;
-
-  Symbol() = default;
-
-  Symbol *Next = nullptr;
-  Symbol *Prev = nullptr;
-  uint64_t Value = 0; // terminal value
-  Rule *R = nullptr;  // referenced rule (non-terminal) / owner (guard)
-  SymbolKind Kind = SymbolKind::Terminal;
-};
-
-/// A grammar rule: S -> <right-hand side>.  The right-hand side hangs off a
-/// guard sentinel in a circular list.
+/// A grammar rule: S -> <right-hand side>.  The grammar stores its rules
+/// in an id-indexed vector; a Rule pointer is valid until the next
+/// append().
 class Rule {
 public:
   /// Stable id; the start rule has id 0 and ids grow monotonically as rules
@@ -87,20 +52,12 @@ public:
   /// sides.  Always >= 2 for live non-start rules (rule utility).
   uint32_t refCount() const { return RefCount; }
 
-  Symbol *guard() const { return Guard; }
-  Symbol *first() const { return Guard->next(); }
-  Symbol *last() const { return Guard->prev(); }
-
-  /// Walks the right-hand side and counts its symbols.
-  size_t rhsLength() const;
-
 private:
   friend class Grammar;
-  friend class Symbol;
 
   Rule() = default;
 
-  Symbol *Guard = nullptr;
+  uint32_t Guard = ~uint32_t{0}; ///< guard symbol; none once deleted
   uint32_t RefCount = 0;
   uint32_t Id = 0;
 };
@@ -126,33 +83,42 @@ struct GrammarSnapshot {
 };
 
 /// The incremental Sequitur grammar.
+///
+/// Symbols live in one pool vector addressed by 32-bit indices, with a
+/// free list; each rule's right-hand side is a circular doubly-linked list
+/// of pool indices hanging off a guard symbol.  The digram index is an
+/// open-addressed table of symbol indices: an entry's key is the digram
+/// that starts at its symbol, read from the pool (the index is kept exact,
+/// so that key never differs from the one the entry was filed under).
+/// Nothing is allocated before the first append(); clear() keeps every
+/// buffer's capacity for the next profiling cycle.
 class Grammar {
 public:
   /// Terminal values must stay below this bound; the top bit namespace is
   /// reserved for non-terminal digram codes.
   static constexpr uint64_t MaxTerminal = (uint64_t{1} << 63) - 1;
 
-  Grammar();
-  ~Grammar();
-
-  Grammar(const Grammar &) = delete;
-  Grammar &operator=(const Grammar &) = delete;
-
   /// Appends one terminal to the represented string.  Amortized O(1).
   void append(uint64_t Terminal);
 
+  /// Empties the grammar, keeping the capacity of its buffers.
+  void clear();
+
   /// The start rule (S in the paper's Figure 4).
-  const Rule *start() const { return Start; }
+  const Rule *start() const { return Rules.empty() ? &EmptyStart : &Rules[0]; }
 
   /// Number of terminals appended so far.
   size_t inputLength() const { return InputLength; }
 
   /// Number of live rules, including the start rule.
-  size_t ruleCount() const { return LiveRuleCount; }
+  size_t ruleCount() const { return Rules.empty() ? 1 : LiveRuleCount; }
 
   /// Total number of right-hand-side symbols over all live rules — the
   /// "size of the grammar" in which the analysis runs linearly (§2.3).
   size_t totalRhsSymbols() const;
+
+  /// Bytes held by the symbol pool, the rule vector and the digram index.
+  size_t storeBytes() const;
 
   /// Live rules in ascending id order; element 0 is the start rule.
   std::vector<const Rule *> rules() const;
@@ -182,69 +148,111 @@ public:
   /// True iff every rule body has at least two symbols.
   bool rulesAreNonTrivialHolds() const;
 
+  /// True iff every digram index entry names a live symbol that starts a
+  /// digram and sits where probing for that digram finds it.
+  bool digramIndexHolds() const;
+
   /// Checks every grammar invariant at once: digram uniqueness, rule
-  /// utility, non-trivial rules, and that the start rule expands to
-  /// exactly inputLength() terminals.  On failure names the violated
-  /// invariant in \p Error (when non-null).  This is the hook the
-  /// differential-testing oracles and the trace fuzzer call after every
-  /// batch of appends.
+  /// utility, non-trivial rules, an exact digram index, and that the
+  /// start rule expands to exactly inputLength() terminals.  On failure
+  /// names the violated invariant in \p Error (when non-null).  This is
+  /// the hook the differential-testing oracles and the trace fuzzer call
+  /// after every batch of appends.
   bool checkInvariants(std::string *Error = nullptr) const;
   /// @}
 
 private:
-  using DigramKey = std::pair<uint64_t, uint64_t>;
-  struct DigramKeyHash {
-    size_t operator()(const DigramKey &Key) const {
-      // 64-bit mix of both halves.
-      uint64_t H = Key.first * 0x9E3779B97F4A7C15ULL;
-      H ^= Key.second + 0x9E3779B97F4A7C15ULL + (H << 6) + (H >> 2);
-      return static_cast<size_t>(H);
-    }
+  /// Index of a symbol in the pool.
+  using SymIndex = uint32_t;
+  static constexpr SymIndex NoSymbol = ~SymIndex{0};
+
+  /// A symbol's code is its terminal value, or RuleTag | rule id for a
+  /// non-terminal, or RuleTag | GuardTag | rule id for a rule's guard.
+  /// The digram content of a non-guard symbol is its code.
+  static constexpr uint64_t RuleTag = uint64_t{1} << 63;
+  static constexpr uint64_t GuardTag = uint64_t{1} << 62;
+
+  struct Symbol {
+    SymIndex Next;
+    SymIndex Prev;
+    uint64_t Code;
   };
 
-  /// Digram content code of one symbol (terminal value or tagged rule id).
-  static uint64_t codeOf(const Symbol *S);
-  /// True iff \p A and \p B have identical digram content.
-  static bool sameContent(const Symbol *A, const Symbol *B);
-  /// Key of the digram starting at \p S (requires a non-guard next).
-  static DigramKey keyOf(const Symbol *S);
+  using DigramKey = std::pair<uint64_t, uint64_t>;
 
-  Symbol *newTerminalSymbol(uint64_t Value);
-  Symbol *newNonTerminalSymbol(Rule *R);
-  Symbol *copySymbol(const Symbol *S);
-  Rule *newRule();
-  void destroyRule(Rule *R);
+  /// What start() returns before the first append: a rule with no body.
+  static const Rule EmptyStart;
+
+  bool isGuard(SymIndex S) const {
+    return (Pool[S].Code & (RuleTag | GuardTag)) == (RuleTag | GuardTag);
+  }
+  bool isNonTerminal(SymIndex S) const {
+    return (Pool[S].Code & (RuleTag | GuardTag)) == RuleTag;
+  }
+  /// The referenced rule (non-terminals) or owning rule (guards).
+  uint32_t ruleOf(SymIndex S) const {
+    return static_cast<uint32_t>(Pool[S].Code);
+  }
+  SymIndex next(SymIndex S) const { return Pool[S].Next; }
+  SymIndex prev(SymIndex S) const { return Pool[S].Prev; }
+  SymIndex first(uint32_t R) const { return next(Rules[R].Guard); }
+  SymIndex last(uint32_t R) const { return prev(Rules[R].Guard); }
+  size_t rhsLength(uint32_t R) const;
+
+  /// True iff \p A and \p B have identical digram content.
+  bool sameContent(SymIndex A, SymIndex B) const;
+  /// Key of the digram starting at \p S (requires a non-guard next).
+  DigramKey keyOf(SymIndex S) const;
+
+  SymIndex newSymbol(uint64_t Code);
+  SymIndex newNonTerminal(uint32_t R);
+  SymIndex copySymbol(SymIndex S);
+  void freeSymbol(SymIndex S);
+  uint32_t newRule();
+  void destroyRule(uint32_t R);
 
   /// Links \p Left and \p Right, maintaining digram index bookkeeping
   /// (including the classic "triple" fix for runs like aaa).
-  void join(Symbol *Left, Symbol *Right);
+  void join(SymIndex Left, SymIndex Right);
   /// Inserts \p NewSym immediately after \p Pos.
-  void insertAfter(Symbol *Pos, Symbol *NewSym);
+  void insertAfter(SymIndex Pos, SymIndex NewSym);
   /// Unlinks and frees \p S, removing its digrams and dropping a rule
   /// reference when it is a non-terminal.
-  void removeSymbol(Symbol *S);
+  void removeSymbol(SymIndex S);
 
+  /// The slot where probing for \p Key starts.
+  size_t homeSlot(const DigramKey &Key) const;
+  /// The slot holding the entry for \p Key, or the empty slot where it
+  /// would go.
+  size_t findDigram(const DigramKey &Key) const;
+  /// Files \p S in the empty slot \p Slot, growing the index first when
+  /// that would take its load above 1/2.
+  void insertDigram(size_t Slot, SymIndex S);
+  /// Empties \p Slot, shifting later entries of its probe run back.
+  void eraseDigram(size_t Slot);
   /// Removes the digram starting at \p S from the index if the index entry
   /// points at \p S.
-  void deleteDigram(Symbol *S);
+  void deleteDigram(SymIndex S);
   /// Points the index entry for \p S's digram at \p S.
-  void indexDigram(Symbol *S);
+  void indexDigram(SymIndex S);
 
   /// Checks the digram starting at \p S against the index, triggering a
   /// match when a second occurrence is found.  Returns true iff the digram
   /// was already present (matched or overlapping).
-  bool check(Symbol *S);
+  bool check(SymIndex S);
   /// Handles a repeated digram: \p S is the new occurrence, \p Match the
   /// indexed one.
-  void match(Symbol *S, Symbol *Match);
+  void match(SymIndex S, SymIndex Match);
   /// Replaces the digram starting at \p S with a reference to \p R.
-  void substitute(Symbol *S, Rule *R);
+  void substitute(SymIndex S, uint32_t R);
   /// Inlines \p Use (a non-terminal whose rule is referenced exactly once).
-  void expandUse(Symbol *Use);
+  void expandUse(SymIndex Use);
 
-  std::unordered_map<DigramKey, Symbol *, DigramKeyHash> DigramIndex;
-  std::vector<Rule *> AllRules; // index == id; null when deleted
-  Rule *Start = nullptr;
+  std::vector<Symbol> Pool;
+  SymIndex FreeList = NoSymbol; ///< chained through Symbol::Next
+  std::vector<Rule> Rules;      ///< index == id; Guard is none when deleted
+  std::vector<SymIndex> Digrams; ///< power-of-two size; NoSymbol when empty
+  size_t DigramCount = 0;
   size_t InputLength = 0;
   size_t LiveRuleCount = 0;
 };

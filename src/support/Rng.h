@@ -24,6 +24,15 @@
 
 namespace hds {
 
+/// The SplitMix64 step: seeds the generator below, and mixes keys for the
+/// open-addressed tables (every input bit reaches the low bits).
+inline uint64_t splitMix64(uint64_t X) {
+  X += 0x9E3779B97F4A7C15ULL;
+  X = (X ^ (X >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  X = (X ^ (X >> 27)) * 0x94D049BB133111EBULL;
+  return X ^ (X >> 31);
+}
+
 /// xorshift128+ generator: fast, deterministic, and good enough for
 /// workload shuffling and property-test input generation.
 class Rng {
@@ -76,13 +85,6 @@ public:
   bool nextBool(double P) { return nextDouble() < P; }
 
 private:
-  static uint64_t splitMix64(uint64_t X) {
-    X += 0x9E3779B97F4A7C15ULL;
-    X = (X ^ (X >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    X = (X ^ (X >> 27)) * 0x94D049BB133111EBULL;
-    return X ^ (X >> 31);
-  }
-
   uint64_t State0 = 0;
   uint64_t State1 = 0;
 };

@@ -77,6 +77,48 @@ TEST(DataRefTableTest, ClearResets) {
   EXPECT_EQ(T.lookup({1, 1}), InvalidRefId);
 }
 
+TEST(DataRefTableTest, IdsFollowFirstSightAcrossIndexGrowths) {
+  // 5000 references grow the index from 16 to 16384 slots; every id must
+  // stay the order of first sight, whatever the interleaving of repeats.
+  DataRefTable T;
+  for (uint64_t I = 0; I < 5000; ++I) {
+    const DataRef Ref{0x400000 + (I % 7) * 4, 0x10000000 + I * 64};
+    EXPECT_EQ(T.intern(Ref), RefId(I));
+    EXPECT_EQ(T.intern(DataRef{0x400000, 0x10000000}), 0u);
+  }
+  ASSERT_EQ(T.size(), 5000u);
+  for (uint64_t I = 0; I < 5000; ++I) {
+    const DataRef Ref{0x400000 + (I % 7) * 4, 0x10000000 + I * 64};
+    EXPECT_EQ(T.lookup(Ref), RefId(I));
+    EXPECT_EQ(T.refOf(RefId(I)), Ref);
+  }
+  EXPECT_EQ(T.lookup({0x400000, 0x10000000 + 5000 * 64}), InvalidRefId);
+  EXPECT_EQ(T.lookup({0x400004, 0x10000000}), InvalidRefId);
+}
+
+TEST(DataRefTableTest, CopyKeepsIds) {
+  DataRefTable T;
+  for (uint64_t I = 0; I < 300; ++I)
+    T.intern({I % 3, I * 8});
+  const DataRefTable Copy = T;
+  ASSERT_EQ(Copy.size(), 300u);
+  for (uint64_t I = 0; I < 300; ++I)
+    EXPECT_EQ(Copy.lookup({I % 3, I * 8}), RefId(I));
+  T.intern({99, 99});
+  EXPECT_EQ(Copy.lookup({99, 99}), InvalidRefId);
+}
+
+TEST(DataRefTableTest, StoreFootprint) {
+  // Nothing before the first intern; then 16-byte references in id order
+  // plus an index of 32-bit ids at load <= 1/2.  10000 references need
+  // 32768 index slots; the reference vector grows by doubling to 16384.
+  DataRefTable T;
+  EXPECT_EQ(T.storeBytes(), 0u);
+  for (uint64_t I = 0; I < 10000; ++I)
+    T.intern({I, I});
+  EXPECT_LE(T.storeBytes(), 16384u * 16 + 32768u * 4);
+}
+
 //===----------------------------------------------------------------------===//
 // FastAnalyzer — the paper's worked example, locked down exactly
 //===----------------------------------------------------------------------===//

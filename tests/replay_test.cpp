@@ -149,6 +149,48 @@ TEST(TraceFormatTest, RejectsTrailingGarbage) {
   EXPECT_NE(Error.find("trailing"), std::string::npos) << Error;
 }
 
+/// An empty trace: magic (8), version (4), then one byte each for the
+/// workload name length, iterations, mode, head length, flags and event
+/// count, the 8 one-byte summary varints, and the 4-byte end magic.
+std::string emptyTraceBytes() {
+  const std::string Bytes = rp::serializeTrace(rp::Trace());
+  EXPECT_EQ(Bytes.size(), 30u);
+  return Bytes;
+}
+
+TEST(TraceFormatTest, HugeEventCountIsTruncationNotAnAllocation) {
+  // The header and meta of an empty trace, then a count of 2^60 events
+  // and no event bytes.  The reservation must be bounded by the bytes
+  // left, so this is an ordinary truncation (it used to throw
+  // std::length_error out of reserve()).
+  std::string Bytes = emptyTraceBytes().substr(0, 17);
+  uint64_t Count = uint64_t{1} << 60;
+  for (; Count >= 0x80; Count >>= 7)
+    Bytes.push_back(static_cast<char>(0x80 | (Count & 0x7F)));
+  Bytes.push_back(static_cast<char>(Count));
+  ASSERT_EQ(Bytes.size(), 26u);
+  rp::Trace Back;
+  std::string Error;
+  EXPECT_FALSE(rp::deserializeTrace(Bytes, Back, &Error));
+  EXPECT_EQ(Error, "truncated at event 0");
+}
+
+TEST(TraceFormatTest, StringLengthNearTwoToThe64IsRejected) {
+  // Workload name length 2^64-1 as a 10-byte varint ending at offset 21.
+  // A bound check written as Pos + Length wraps to Pos - 1: it takes the
+  // file's tail as the name and resumes at the varint's last byte.  With
+  // one footer byte dropped, the shifted rest would decode cleanly.
+  std::string Bytes = emptyTraceBytes();
+  ASSERT_EQ(Bytes[12], '\0');
+  Bytes.replace(12, 1, std::string(9, '\xFF') + '\x01');
+  Bytes.erase(Bytes.size() - 5, 1);
+  rp::Trace Back;
+  std::string Error;
+  EXPECT_FALSE(rp::deserializeTrace(Bytes, Back, &Error))
+      << "decoded workload of " << Back.Meta.Workload.size() << " bytes";
+  EXPECT_EQ(Error, "truncated trace meta");
+}
+
 TEST(TraceFormatTest, FileRoundTrip) {
   const rp::Trace T = sampleTrace();
   const std::string Path = "replay_test_tmp.hdstrace";

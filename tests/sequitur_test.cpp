@@ -7,6 +7,7 @@
 #include "sequitur/Grammar.h"
 
 #include "support/Rng.h"
+#include "testing/TraceGen.h"
 
 #include <gtest/gtest.h>
 
@@ -18,7 +19,6 @@ using hds::Rng;
 using hds::sequitur::Grammar;
 using hds::sequitur::GrammarSnapshot;
 using hds::sequitur::Rule;
-using hds::sequitur::Symbol;
 
 namespace {
 
@@ -371,6 +371,116 @@ TEST(SequiturTest, CheckInvariantsHoldsOnTripleRuns) {
     EXPECT_TRUE(G.checkInvariants(&Why))
         << "after " << G.inputLength() << " appends: " << Why;
   }
+}
+
+} // namespace
+
+//===----------------------------------------------------------------------===//
+// Grammar pin: the exact grammars of the adversarial trace shapes
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// FNV-1a over the snapshot's rule count and each rule's item sequence.
+uint64_t snapshotDigest(const GrammarSnapshot &Snap) {
+  uint64_t H = 0xCBF29CE484222325ULL;
+  auto Mix = [&H](uint64_t Value) {
+    for (int I = 0; I < 8; ++I) {
+      H ^= (Value >> (8 * I)) & 0xFF;
+      H *= 0x100000001B3ULL;
+    }
+  };
+  Mix(Snap.Rules.size());
+  for (const GrammarSnapshot::SnapshotRule &R : Snap.Rules) {
+    Mix(R.Rhs.size());
+    for (const GrammarSnapshot::Item &It : R.Rhs)
+      Mix(It.IsRule ? (uint64_t{1} << 63) | It.RuleIndex : It.Terminal);
+  }
+  return H;
+}
+
+/// Seeds 0-39 run every TraceShape eight times.  The digests were taken
+/// from the node-based grammar this pool-based one replaced; any change in
+/// rule formation, rule numbering or right-hand-side order moves them.
+TEST(SequiturPinTest, TraceShapeGrammarsAreUnchanged) {
+  struct Expected {
+    size_t Rules;
+    uint64_t Digest;
+  };
+  static const Expected Pins[] = {
+    {21, 0x238f17ea291dae90ULL}, // hot-loops
+    {20, 0x6e399eb95311a3deULL}, // phase-shifts
+    {5, 0x9bf3463c5a84b6c8ULL}, // noise-flood
+    {38, 0x155e4479ffcf6931ULL}, // regex-recurrence
+    {4, 0x513c9b1798bc0fc6ULL}, // cache-thrash
+    {25, 0xccafc5f8d9e5f056ULL}, // hot-loops
+    {37, 0x20eecccb497b4590ULL}, // phase-shifts
+    {6, 0x52c2219c5012beebULL}, // noise-flood
+    {25, 0xcddc8f034bf0b4bdULL}, // regex-recurrence
+    {5, 0x7c72e158dbcdf2f8ULL}, // cache-thrash
+    {30, 0x1d1a389395e8984cULL}, // hot-loops
+    {21, 0x32d553c69f52c920ULL}, // phase-shifts
+    {5, 0x65c5646d14767866ULL}, // noise-flood
+    {35, 0x5bb44d31b1fda12dULL}, // regex-recurrence
+    {4, 0x053cb8118e302e5fULL}, // cache-thrash
+    {20, 0x70884a46a0274b14ULL}, // hot-loops
+    {19, 0x7428e3705dbdce6fULL}, // phase-shifts
+    {5, 0xbd13c10c0ffa2386ULL}, // noise-flood
+    {31, 0xa853c439f0a80312ULL}, // regex-recurrence
+    {5, 0xf2d9bc2c983fad48ULL}, // cache-thrash
+    {37, 0x6828e726c9be7023ULL}, // hot-loops
+    {35, 0x9eb5cce6daf4b759ULL}, // phase-shifts
+    {6, 0xff1918458dac0bbaULL}, // noise-flood
+    {34, 0x20c045793ebd727eULL}, // regex-recurrence
+    {4, 0xb2db8bb5f72da7faULL}, // cache-thrash
+    {36, 0xbacd939f420d4c05ULL}, // hot-loops
+    {26, 0x31726dc1fc4d1dc2ULL}, // phase-shifts
+    {6, 0x8bc041d0e2e23718ULL}, // noise-flood
+    {33, 0xe5d6db4384385407ULL}, // regex-recurrence
+    {5, 0xc0283a3714f30aa4ULL}, // cache-thrash
+    {49, 0xa34ae03dc91663efULL}, // hot-loops
+    {17, 0x70c73551503bdce0ULL}, // phase-shifts
+    {5, 0x1f97aecd8fb2328fULL}, // noise-flood
+    {36, 0xbe1b0f4815049063ULL}, // regex-recurrence
+    {5, 0xc59c103fbb0ad916ULL}, // cache-thrash
+    {17, 0x33857688513287f9ULL}, // hot-loops
+    {32, 0x9bbb3fccf2e40371ULL}, // phase-shifts
+    {5, 0x00422b8861e92eafULL}, // noise-flood
+    {33, 0x28bbfc36c6950cf8ULL}, // regex-recurrence
+    {4, 0xfff676cb2abdc134ULL}, // cache-thrash
+  };
+  Grammar Reused;
+  for (uint64_t Seed = 0; Seed < 40; ++Seed) {
+    const std::vector<uint32_t> Trace = hds::testing::generateTrace(Seed);
+    Grammar Fresh;
+    Reused.clear();
+    for (uint32_t T : Trace) {
+      Fresh.append(T);
+      Reused.append(T);
+    }
+    const std::string Where =
+        "seed " + std::to_string(Seed) + " (" +
+        hds::testing::shapeName(hds::testing::shapeForSeed(Seed)) + ")";
+    const GrammarSnapshot Snap = Fresh.snapshot();
+    EXPECT_EQ(Snap.Rules.size(), Pins[Seed].Rules) << Where;
+    EXPECT_EQ(snapshotDigest(Snap), Pins[Seed].Digest) << Where;
+    EXPECT_EQ(snapshotDigest(Reused.snapshot()), Pins[Seed].Digest)
+        << Where << " after clear()";
+  }
+}
+
+TEST(SequiturPinTest, NothingIsAllocatedBeforeTheFirstAppend) {
+  Grammar G;
+  EXPECT_EQ(G.storeBytes(), 0u);
+  G.append(1);
+  EXPECT_GT(G.storeBytes(), 0u);
+  const size_t Held = G.storeBytes();
+  G.clear();
+  EXPECT_EQ(G.storeBytes(), Held); // clear() keeps the capacity
+  EXPECT_EQ(G.inputLength(), 0u);
+  EXPECT_EQ(G.ruleCount(), 1u);
+  EXPECT_TRUE(G.expandRule(*G.start()).empty());
+  EXPECT_TRUE(G.checkInvariants());
 }
 
 } // namespace
