@@ -17,6 +17,7 @@
 
 #include "support/Rng.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -32,6 +33,9 @@ struct DataRef {
 
   friend bool operator==(const DataRef &A, const DataRef &B) {
     return A.Pc == B.Pc && A.Addr == B.Addr;
+  }
+  friend bool operator<(const DataRef &A, const DataRef &B) {
+    return A.Pc != B.Pc ? A.Pc < B.Pc : A.Addr < B.Addr;
   }
 };
 
@@ -49,9 +53,11 @@ inline constexpr RefId InvalidRefId = ~RefId{0};
 ///
 /// The references sit in one vector in id order; an open-addressed index
 /// of ids (linear probing, load at most 1/2) finds them by value.  Ids are
-/// handed out in first-seen order and live as long as the table, so the
-/// index never deletes: it is only rebuilt, in id order, when it grows.
-/// Nothing is allocated before the first intern().
+/// handed out in first-seen order until the next clear(), which the
+/// profiler calls at the start of every profiling cycle; between clears
+/// the index never deletes, and it is only rebuilt, in id order, when it
+/// grows.  Nothing is allocated before the first intern(), and clear()
+/// keeps both buffers' capacity.
 class DataRefTable {
 public:
   /// Returns the id for \p Ref, creating one on first sight.
@@ -85,9 +91,10 @@ public:
            Slots.capacity() * sizeof(RefId);
   }
 
+  /// Forgets every reference; the next intern() hands out id 0 again.
   void clear() {
     Refs.clear();
-    Slots.clear();
+    std::fill(Slots.begin(), Slots.end(), InvalidRefId);
   }
 
 private:

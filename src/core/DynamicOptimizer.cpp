@@ -9,8 +9,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
+#include <iterator>
 #include <unordered_map>
-#include <unordered_set>
 
 using namespace hds;
 using namespace hds::core;
@@ -288,7 +288,7 @@ void DynamicOptimizer::analyzeAndOptimize() {
       }
 
       if (Config.AdaptiveHibernation)
-        adaptHibernation(StreamSymbols, Cycle);
+        adaptHibernation(StreamSymbols);
     }
   }
 
@@ -300,19 +300,24 @@ void DynamicOptimizer::analyzeAndOptimize() {
 }
 
 void DynamicOptimizer::adaptHibernation(
-    const std::vector<std::vector<uint32_t>> &Streams, CycleStats &Cycle) {
-  (void)Cycle;
+    const std::vector<std::vector<uint32_t>> &Streams) {
   // Compare this cycle's covered references against the previous
   // cycle's: stable behaviour -> hibernate twice as long (bounded);
-  // changed behaviour -> back to the configured base.
-  std::unordered_set<uint32_t> Covered;
+  // changed behaviour -> back to the configured base.  References are
+  // compared by (pc, addr): an id only names a reference within its cycle.
+  const analysis::DataRefTable &Refs = Profiler.refTable();
+  std::vector<analysis::DataRef> Covered;
   for (const auto &Symbols : Streams)
-    Covered.insert(Symbols.begin(), Symbols.end());
+    for (uint32_t Symbol : Symbols)
+      Covered.push_back(Refs.refOf(Symbol));
+  std::sort(Covered.begin(), Covered.end());
+  Covered.erase(std::unique(Covered.begin(), Covered.end()), Covered.end());
 
-  size_t Intersection = 0;
-  // hds-lint: ordered-ok(commutative membership count; order cannot affect the sum)
-  for (uint32_t Ref : Covered)
-    Intersection += LastCoveredRefs.count(Ref);
+  std::vector<analysis::DataRef> Common;
+  std::set_intersection(Covered.begin(), Covered.end(),
+                        LastCoveredRefs.begin(), LastCoveredRefs.end(),
+                        std::back_inserter(Common));
+  const size_t Intersection = Common.size();
   const size_t Union =
       Covered.size() + LastCoveredRefs.size() - Intersection;
   const double Similarity =

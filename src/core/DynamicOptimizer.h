@@ -26,7 +26,6 @@
 #include "vulcan/Image.h"
 
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 namespace hds {
@@ -71,8 +70,7 @@ private:
 
   /// Adaptive hibernation (§5.2 extension): stretch or reset the
   /// hibernation length based on stream-set stability.
-  void adaptHibernation(const std::vector<std::vector<uint32_t>> &Streams,
-                        CycleStats &Cycle);
+  void adaptHibernation(const std::vector<std::vector<uint32_t>> &Streams);
 
   const OptimizerConfig &Config;
   vulcan::Image &TheImage;
@@ -84,8 +82,9 @@ private:
   profiling::TemporalProfiler Profiler;
   bool Pinned = false;
   /// Adaptive hibernation state: references covered by the previous
-  /// cycle's installed streams and the current hibernation length.
-  std::unordered_set<uint32_t> LastCoveredRefs;
+  /// cycle's installed streams, sorted and by value (reference ids restart
+  /// every cycle), and the current hibernation length.
+  std::vector<analysis::DataRef> LastCoveredRefs;
   uint64_t CurrentHibernate = 0;
 };
 

@@ -53,7 +53,13 @@ const RunResult *findBaseline(const std::vector<RunResult> &Results,
 /// the emitting code reads like the schema.
 class JsonBuilder {
 public:
-  std::string take() { return std::move(Out); }
+  /// The finished document with its closing newline, in a buffer no
+  /// larger than the text (callers may keep one document per cell).
+  std::string take() {
+    Out += '\n';
+    Out.shrink_to_fit();
+    return std::move(Out);
+  }
 
   void openObject(const char *Key = nullptr) { open(Key, '{'); }
   void openArray(const char *Key = nullptr) { open(Key, '['); }
@@ -287,7 +293,5 @@ std::string hds::engine::resultsToJson(const std::vector<RunResult> &Results,
   }
 
   Json.close('}');
-  std::string Out = Json.take();
-  Out += '\n';
-  return Out;
+  return Json.take();
 }

@@ -26,8 +26,8 @@
 namespace hds {
 namespace profiling {
 
-/// Owns the per-cycle Sequitur grammar and the process-lifetime reference
-/// interning table.
+/// Owns one profiling cycle's state: the Sequitur grammar and the
+/// reference interning table, both emptied when the next cycle starts.
 class TemporalProfiler {
 public:
   /// Interns \p Ref and appends it to the grammar.  Returns the id.
@@ -56,12 +56,12 @@ public:
   /// References traced in the current profiling cycle.
   uint64_t tracedRefCount() const { return TracedRefs; }
 
-  /// Starts a new profiling cycle: empty grammar (its buffers keep their
-  /// capacity), empty counter.  The interning table persists across cycles
-  /// so reference ids, and the DFSM state order that follows them, stay
-  /// stable for the whole run (DESIGN.md §2).
+  /// Starts a new profiling cycle: empty grammar and interning table
+  /// (their buffers keep their capacity), empty counters.  Reference ids
+  /// restart at 0, in the new cycle's first-seen order (DESIGN.md §2).
   void startNewCycle() {
     TheGrammar.clear();
+    Refs.clear();
     TracedRefs = 0;
     PcCounts.clear();
   }

@@ -55,22 +55,29 @@ void Grammar::freeSymbol(SymIndex S) {
 }
 
 uint32_t Grammar::newRule() {
-  const uint32_t R = static_cast<uint32_t>(Rules.size());
+  uint32_t R = FreeRules;
+  if (R != NoRule) {
+    FreeRules = Rules[R].RefCount;
+  } else {
+    R = static_cast<uint32_t>(Rules.size());
+    Rules.push_back(Rule());
+  }
   const SymIndex Guard = newSymbol(RuleTag | GuardTag | R);
   Pool[Guard].Next = Guard;
   Pool[Guard].Prev = Guard;
-  Rule Fresh;
-  Fresh.Guard = Guard;
-  Fresh.Id = R;
-  Rules.push_back(Fresh);
+  Rules[R].Guard = Guard;
+  Rules[R].RefCount = 0;
+  Rules[R].Id = NextRuleId++;
   ++LiveRuleCount;
   return R;
 }
 
 void Grammar::destroyRule(uint32_t R) {
-  assert(Rules[R].Guard != NoSymbol && "rule already destroyed");
+  assert(isLive(R) && "rule already destroyed");
   freeSymbol(Rules[R].Guard);
   Rules[R].Guard = NoSymbol;
+  Rules[R].RefCount = FreeRules;
+  FreeRules = R;
   --LiveRuleCount;
 }
 
@@ -78,6 +85,8 @@ void Grammar::clear() {
   Pool.clear();
   FreeList = NoSymbol;
   Rules.clear();
+  FreeRules = NoRule;
+  NextRuleId = 0;
   std::fill(Digrams.begin(), Digrams.end(), NoSymbol);
   DigramCount = 0;
   InputLength = 0;
@@ -85,7 +94,7 @@ void Grammar::clear() {
 }
 
 size_t Grammar::storeBytes() const {
-  return Pool.capacity() * sizeof(Symbol) + Rules.capacity() * sizeof(Rule) +
+  return Pool.capacity() * sizeof(Symbol) + ruleStoreBytes() +
          Digrams.capacity() * sizeof(SymIndex);
 }
 
@@ -309,9 +318,9 @@ size_t Grammar::rhsLength(uint32_t R) const {
 
 size_t Grammar::totalRhsSymbols() const {
   size_t Total = 0;
-  for (const Rule &R : Rules)
-    if (R.Guard != NoSymbol)
-      Total += rhsLength(R.Id);
+  for (uint32_t R = 0; R < Rules.size(); ++R)
+    if (isLive(R))
+      Total += rhsLength(R);
   return Total;
 }
 
@@ -323,6 +332,8 @@ std::vector<const Rule *> Grammar::rules() const {
   for (const Rule &R : Rules)
     if (R.Guard != NoSymbol)
       Result.push_back(&R);
+  std::sort(Result.begin(), Result.end(),
+            [](const Rule *A, const Rule *B) { return A->Id < B->Id; });
   return Result;
 }
 
@@ -355,22 +366,19 @@ GrammarSnapshot Grammar::snapshot() const {
     Snap.Rules.resize(1);
     return Snap;
   }
-  // Dense renumbering: live rules in id order; the start rule has id 0 and
-  // is never deleted, so it maps to index 0.
-  std::vector<uint32_t> IdToIndex(Rules.size());
-  uint32_t LiveCount = 0;
-  for (const Rule &R : Rules)
-    if (R.Guard != NoSymbol)
-      IdToIndex[R.Id] = LiveCount++;
+  // Dense renumbering: live rules in creation order; the start rule is
+  // created first and never deleted, so it maps to index 0.
+  const std::vector<const Rule *> Live = rules();
+  std::vector<uint32_t> SlotToIndex(Rules.size());
+  for (uint32_t Index = 0; Index < Live.size(); ++Index)
+    SlotToIndex[slotOf(*Live[Index])] = Index;
 
-  Snap.Rules.resize(LiveCount);
-  for (const Rule &R : Rules) {
-    if (R.Guard == NoSymbol)
-      continue;
-    std::vector<GrammarSnapshot::Item> &Rhs = Snap.Rules[IdToIndex[R.Id]].Rhs;
-    for (SymIndex S = first(R.Id); !isGuard(S); S = next(S)) {
+  Snap.Rules.resize(Live.size());
+  for (uint32_t Index = 0; Index < Live.size(); ++Index) {
+    std::vector<GrammarSnapshot::Item> &Rhs = Snap.Rules[Index].Rhs;
+    for (SymIndex S = first(slotOf(*Live[Index])); !isGuard(S); S = next(S)) {
       if (isNonTerminal(S))
-        Rhs.push_back({true, IdToIndex[ruleOf(S)], 0});
+        Rhs.push_back({true, SlotToIndex[ruleOf(S)], 0});
       else
         Rhs.push_back({false, 0, Pool[S].Code});
     }
@@ -407,10 +415,10 @@ std::string Grammar::dump(std::string (*TerminalName)(uint64_t)) const {
   for (const Rule *R : rules()) {
     Out += formatString("R%u ->", R->id());
     if (R->Guard != NoSymbol)
-      for (SymIndex S = first(R->id()); !isGuard(S); S = next(S)) {
+      for (SymIndex S = first(slotOf(*R)); !isGuard(S); S = next(S)) {
         Out += ' ';
         if (isNonTerminal(S))
-          Out += formatString("R%u", ruleOf(S));
+          Out += formatString("R%u", Rules[ruleOf(S)].id());
         else if (TerminalName)
           Out += TerminalName(Pool[S].Code);
         else
@@ -430,10 +438,10 @@ std::string Grammar::dump(std::string (*TerminalName)(uint64_t)) const {
 // figure was measured at (docs/benchmarks.md, "Host-probe alignment").
 [[gnu::cold]] bool Grammar::digramUniquenessHolds() const {
   std::vector<std::pair<DigramKey, SymIndex>> Occurrences;
-  for (const Rule &R : Rules) {
-    if (R.Guard == NoSymbol)
+  for (uint32_t R = 0; R < Rules.size(); ++R) {
+    if (!isLive(R))
       continue;
-    for (SymIndex S = first(R.Id); !isGuard(S) && !isGuard(next(S));
+    for (SymIndex S = first(R); !isGuard(S) && !isGuard(next(S));
          S = next(S))
       Occurrences.emplace_back(keyOf(S), S);
   }
@@ -456,36 +464,37 @@ std::string Grammar::dump(std::string (*TerminalName)(uint64_t)) const {
 
 bool Grammar::ruleUtilityHolds() const {
   std::vector<uint32_t> Uses(Rules.size(), 0);
-  for (const Rule &R : Rules) {
-    if (R.Guard == NoSymbol)
+  for (uint32_t R = 0; R < Rules.size(); ++R) {
+    if (!isLive(R))
       continue;
-    for (SymIndex S = first(R.Id); !isGuard(S); S = next(S))
+    for (SymIndex S = first(R); !isGuard(S); S = next(S))
       if (isNonTerminal(S))
         ++Uses[ruleOf(S)];
   }
-  for (const Rule &R : Rules) {
-    if (R.Guard == NoSymbol)
+  for (uint32_t R = 0; R < Rules.size(); ++R) {
+    if (!isLive(R))
       continue;
-    if (Uses[R.Id] != R.RefCount)
+    if (Uses[R] != Rules[R].RefCount)
       return false;
-    if (R.Id != 0 && Uses[R.Id] < 2)
+    if (R != 0 && Uses[R] < 2)
       return false;
   }
   return true;
 }
 
-bool Grammar::rulesAreNonTrivialHolds() const {
-  for (const Rule &R : Rules)
-    if (R.Guard != NoSymbol && R.Id != 0 && rhsLength(R.Id) < 2)
+// Cold for the same two reasons as digramUniquenessHolds.
+[[gnu::cold]] bool Grammar::rulesAreNonTrivialHolds() const {
+  for (uint32_t R = 1; R < Rules.size(); ++R)
+    if (isLive(R) && rhsLength(R) < 2)
       return false;
   return true;
 }
 
 bool Grammar::digramIndexHolds() const {
   std::vector<bool> Live(Pool.size(), false);
-  for (const Rule &R : Rules)
-    if (R.Guard != NoSymbol)
-      for (SymIndex S = first(R.Id); !isGuard(S); S = next(S))
+  for (uint32_t R = 0; R < Rules.size(); ++R)
+    if (isLive(R))
+      for (SymIndex S = first(R); !isGuard(S); S = next(S))
         Live[S] = true;
   size_t Entries = 0;
   for (size_t Slot = 0; Slot < Digrams.size(); ++Slot) {

@@ -40,12 +40,12 @@ namespace hds {
 namespace sequitur {
 
 /// A grammar rule: S -> <right-hand side>.  The grammar stores its rules
-/// in an id-indexed vector; a Rule pointer is valid until the next
-/// append().
+/// in a vector whose slots deleted rules hand back out; a Rule pointer is
+/// valid until the next append().
 class Rule {
 public:
-  /// Stable id; the start rule has id 0 and ids grow monotonically as rules
-  /// are created (deleted rule ids are never reused).
+  /// Creation number within the current grammar: the start rule is 0 and
+  /// each new rule gets the next number, whichever slot it reuses.
   uint32_t id() const { return Id; }
 
   /// Number of times this rule is referenced from other rules' right-hand
@@ -58,7 +58,7 @@ private:
   Rule() = default;
 
   uint32_t Guard = ~uint32_t{0}; ///< guard symbol; none once deleted
-  uint32_t RefCount = 0;
+  uint32_t RefCount = 0;         ///< next free slot once deleted
   uint32_t Id = 0;
 };
 
@@ -86,12 +86,15 @@ struct GrammarSnapshot {
 ///
 /// Symbols live in one pool vector addressed by 32-bit indices, with a
 /// free list; each rule's right-hand side is a circular doubly-linked list
-/// of pool indices hanging off a guard symbol.  The digram index is an
-/// open-addressed table of symbol indices: an entry's key is the digram
-/// that starts at its symbol, read from the pool (the index is kept exact,
-/// so that key never differs from the one the entry was filed under).
-/// Nothing is allocated before the first append(); clear() keeps every
-/// buffer's capacity for the next profiling cycle.
+/// of pool indices hanging off a guard symbol.  Rules live in a vector of
+/// slots with a free list of their own, so it holds the peak number of
+/// live rules, not every rule ever created; a non-terminal names its
+/// rule's slot, and the read-only views order rules by creation.  The
+/// digram index is an open-addressed table of symbol indices: an entry's
+/// key is the digram that starts at its symbol, read from the pool (the
+/// index is kept exact, so that key never differs from the one the entry
+/// was filed under).  Nothing is allocated before the first append();
+/// clear() keeps every buffer's capacity for the next profiling cycle.
 class Grammar {
 public:
   /// Terminal values must stay below this bound; the top bit namespace is
@@ -120,7 +123,11 @@ public:
   /// Bytes held by the symbol pool, the rule vector and the digram index.
   size_t storeBytes() const;
 
-  /// Live rules in ascending id order; element 0 is the start rule.
+  /// Bytes held by the rule vector alone.  Its slots are reused, so it
+  /// follows the peak number of live rules, not the number created.
+  size_t ruleStoreBytes() const { return Rules.capacity() * sizeof(Rule); }
+
+  /// Live rules in creation order; element 0 is the start rule.
   std::vector<const Rule *> rules() const;
 
   /// Expands \p R into the terminal string it derives.
@@ -165,9 +172,10 @@ private:
   /// Index of a symbol in the pool.
   using SymIndex = uint32_t;
   static constexpr SymIndex NoSymbol = ~SymIndex{0};
+  static constexpr uint32_t NoRule = ~uint32_t{0};
 
-  /// A symbol's code is its terminal value, or RuleTag | rule id for a
-  /// non-terminal, or RuleTag | GuardTag | rule id for a rule's guard.
+  /// A symbol's code is its terminal value, or RuleTag | rule slot for a
+  /// non-terminal, or RuleTag | GuardTag | rule slot for a rule's guard.
   /// The digram content of a non-guard symbol is its code.
   static constexpr uint64_t RuleTag = uint64_t{1} << 63;
   static constexpr uint64_t GuardTag = uint64_t{1} << 62;
@@ -189,9 +197,14 @@ private:
   bool isNonTerminal(SymIndex S) const {
     return (Pool[S].Code & (RuleTag | GuardTag)) == RuleTag;
   }
-  /// The referenced rule (non-terminals) or owning rule (guards).
+  /// The referenced rule's slot (non-terminals) or owning rule's slot
+  /// (guards).
   uint32_t ruleOf(SymIndex S) const {
     return static_cast<uint32_t>(Pool[S].Code);
+  }
+  bool isLive(uint32_t R) const { return Rules[R].Guard != NoSymbol; }
+  uint32_t slotOf(const Rule &R) const {
+    return static_cast<uint32_t>(&R - Rules.data());
   }
   SymIndex next(SymIndex S) const { return Pool[S].Next; }
   SymIndex prev(SymIndex S) const { return Pool[S].Prev; }
@@ -250,7 +263,9 @@ private:
 
   std::vector<Symbol> Pool;
   SymIndex FreeList = NoSymbol; ///< chained through Symbol::Next
-  std::vector<Rule> Rules;      ///< index == id; Guard is none when deleted
+  std::vector<Rule> Rules;      ///< by slot; Guard is none when deleted
+  uint32_t FreeRules = NoRule;  ///< chained through Rule::RefCount
+  uint32_t NextRuleId = 0;
   std::vector<SymIndex> Digrams; ///< power-of-two size; NoSymbol when empty
   size_t DigramCount = 0;
   size_t InputLength = 0;

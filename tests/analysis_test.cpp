@@ -77,6 +77,23 @@ TEST(DataRefTableTest, ClearResets) {
   EXPECT_EQ(T.lookup({1, 1}), InvalidRefId);
 }
 
+TEST(DataRefTableTest, ClearKeepsCapacityAndRestartsIds) {
+  // The profiler clears the table every cycle: the buffers one cycle grew
+  // stay for the next, and ids start again from 0 in first-seen order.
+  DataRefTable T;
+  for (uint64_t I = 0; I < 1000; ++I)
+    T.intern({I, I * 64});
+  const size_t Held = T.storeBytes();
+  T.clear();
+  EXPECT_EQ(T.storeBytes(), Held);
+  EXPECT_EQ(T.size(), 0u);
+  EXPECT_EQ(T.lookup({0, 0}), InvalidRefId);
+  EXPECT_EQ(T.intern({999, 999 * 64}), 0u);
+  EXPECT_EQ(T.intern({0, 0}), 1u);
+  EXPECT_EQ(T.lookup({1, 64}), InvalidRefId);
+  EXPECT_EQ(T.storeBytes(), Held);
+}
+
 TEST(DataRefTableTest, IdsFollowFirstSightAcrossIndexGrowths) {
   // 5000 references grow the index from 16 to 16384 slots; every id must
   // stay the order of first sight, whatever the interleaving of repeats.

@@ -339,6 +339,11 @@ TEST(ResultsJson, OverheadIsRelativeToTheOriginalBaseline) {
             std::string::npos);
   // Deterministic output carries no timing object unless asked for.
   EXPECT_EQ(Json.find("\"timing\""), std::string::npos);
+  // One closing newline, and no spare buffer behind it: perfbench keeps
+  // one such document per cell.
+  EXPECT_EQ(Json.back(), '\n');
+  EXPECT_NE(Json[Json.size() - 2], '\n');
+  EXPECT_EQ(Json.capacity(), Json.size());
 }
 
 TEST(ResultsJson, TimingObjectOnlyAppearsOnRequest) {

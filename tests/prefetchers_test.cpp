@@ -741,6 +741,39 @@ TEST(AdaptiveHibernationTest, StableBehaviourStretchesHibernation) {
             Stats.Cycles.front().NextHibernationPeriods);
 }
 
+TEST(AdaptiveHibernationTest, ComparesReferencesNotTheirPerCycleIds) {
+  // Two cycles install streams over the same 16 references, but the
+  // second cycle first traces 16 references that never recur, so the
+  // loop's references get ids 16-31 there instead of 0-15.  Ids only name
+  // references within one cycle; the behaviour is stable all the same.
+  Runtime Rt(adaptiveConfig());
+  const vulcan::ProcId Proc = Rt.declareProcedure("loop");
+  std::vector<vulcan::SiteId> Sites;
+  for (int I = 0; I < 32; ++I)
+    Sites.push_back(Rt.declareSite(Proc));
+  DynamicOptimizer &Optimizer = Rt.optimizer();
+  auto ProfileCycle = [&](bool ColdRefsFirst) {
+    if (ColdRefsFirst)
+      for (uint64_t I = 0; I < 16; ++I)
+        Optimizer.recordRef({Sites[16 + I], 0x900000 + I * 64});
+    for (int Pass = 0; Pass < 50; ++Pass)
+      for (uint64_t I = 0; I < 16; ++I)
+        Optimizer.recordRef({Sites[I], 0x100000 + I * 4096});
+    Optimizer.onCheckEvent(profiling::CheckEvent::AwakeEnded);
+    Optimizer.onCheckEvent(profiling::CheckEvent::HibernationEnded);
+  };
+  ProfileCycle(false);
+  ProfileCycle(true);
+
+  const RunStats &Stats = Rt.stats();
+  ASSERT_EQ(Stats.Cycles.size(), 2u);
+  ASSERT_GT(Stats.Cycles[0].StreamsInstalled, 0u);
+  ASSERT_GT(Stats.Cycles[1].StreamsInstalled, 0u);
+  const uint64_t Base = Rt.config().Tracing.NHibernate;
+  EXPECT_EQ(Stats.Cycles[0].NextHibernationPeriods, Base);
+  EXPECT_EQ(Stats.Cycles[1].NextHibernationPeriods, 2 * Base);
+}
+
 TEST(AdaptiveHibernationTest, BoundedByMaxFactor) {
   OptimizerConfig Config = adaptiveConfig();
   Config.AdaptiveHibernationMaxFactor = 2;

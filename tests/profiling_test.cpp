@@ -242,15 +242,19 @@ TEST(TemporalProfilerTest, PcSampleCounts) {
   EXPECT_EQ(P.pcSampleCount(3), 0u);
 }
 
-TEST(TemporalProfilerTest, NewCycleKeepsInterning) {
+TEST(TemporalProfilerTest, NewCycleRestartsInterning) {
   TemporalProfiler P;
-  const auto Id = P.recordRef({1, 100});
+  EXPECT_EQ(P.recordRef({1, 100}), 0u);
+  EXPECT_EQ(P.recordRef({1, 200}), 1u);
   P.startNewCycle();
   EXPECT_EQ(P.tracedRefCount(), 0u);
   EXPECT_EQ(P.grammar().inputLength(), 0u);
   EXPECT_EQ(P.pcSampleCount(1), 0u);
-  // Reference ids stay stable across cycles.
-  EXPECT_EQ(P.recordRef({1, 100}), Id);
+  EXPECT_EQ(P.refTable().size(), 0u);
+  // Ids follow first sight within the cycle: the reference seen second
+  // in the last cycle is the first one seen in this one.
+  EXPECT_EQ(P.recordRef({1, 200}), 0u);
+  EXPECT_EQ(P.recordRef({1, 100}), 1u);
 }
 
 } // namespace

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <string>
 #include <vector>
@@ -481,6 +482,34 @@ TEST(SequiturPinTest, NothingIsAllocatedBeforeTheFirstAppend) {
   EXPECT_EQ(G.ruleCount(), 1u);
   EXPECT_TRUE(G.expandRule(*G.start()).empty());
   EXPECT_TRUE(G.checkInvariants());
+}
+
+} // namespace
+
+namespace {
+
+TEST(SequiturRuleStoreTest, FollowsTheLiveRulePeakOverManyCycles) {
+  // Sequitur creates far more rules than it keeps: most are inlined again
+  // once a longer rule absorbs their uses.  Deleted rules hand their slots
+  // back, so over many cleared cycles the rule vector is bounded by the
+  // most rules live at once (plus the few a nested match creates before
+  // the enclosing one inlines), not by the rules a cycle creates.
+  Grammar G;
+  size_t PeakLive = 0;
+  size_t Created = 0;
+  for (uint64_t Seed = 0; Seed < 40; ++Seed) {
+    G.clear();
+    uint32_t LastId = 0;
+    for (uint32_t T : hds::testing::generateTrace(Seed)) {
+      G.append(T);
+      PeakLive = std::max(PeakLive, G.ruleCount());
+      LastId = std::max(LastId, G.rules().back()->id()); // creation order
+    }
+    Created = std::max<size_t>(Created, LastId + 1);
+    ASSERT_TRUE(G.checkInvariants()) << "seed " << Seed;
+  }
+  EXPECT_GT(Created, 4 * PeakLive); // the bound below is not trivial
+  EXPECT_LE(G.ruleStoreBytes(), 2 * (PeakLive + 8) * sizeof(Rule));
 }
 
 } // namespace
