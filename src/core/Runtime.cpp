@@ -46,7 +46,7 @@ Runtime::Runtime(const OptimizerConfig &Cfg)
       Tracer(effectiveTracingConfig(Cfg)),
       Optimizer(this->Config, TheImage, Hierarchy, Engine, Tracer, Stats,
                 Timeline),
-      HeapBreak(1 << 20) {
+      HeapBreak(HeapBase) {
   TheImage.instrumentForBurstyTracing();
   if (Config.Prefetchers.any()) {
     Prefetchers = std::make_unique<prefetch::PrefetcherStack>(
@@ -130,6 +130,9 @@ memsim::Addr Runtime::allocate(uint64_t Bytes, uint64_t Align) {
   HeapBreak = (HeapBreak + Align - 1) & ~(Align - 1);
   const memsim::Addr Result = HeapBreak;
   HeapBreak += Bytes;
+  assert(Result < memsim::AddressSpaceBytes &&
+         Bytes <= memsim::AddressSpaceBytes - Result &&
+         "heap outside the 32-bit address space");
   if (Observer) {
     flushObserver();
     Observer->onAllocate(Result, Bytes, Align);
@@ -138,6 +141,8 @@ memsim::Addr Runtime::allocate(uint64_t Bytes, uint64_t Align) {
 }
 
 void Runtime::padHeap(uint64_t Bytes) {
+  assert(Bytes <= memsim::AddressSpaceBytes - HeapBreak &&
+         "heap outside the 32-bit address space");
   HeapBreak += Bytes;
   if (Observer) {
     flushObserver();

@@ -133,6 +133,9 @@ public:
   /// \name Simulated heap.
   /// @{
 
+  /// Where the bump allocator starts.
+  static constexpr memsim::Addr HeapBase = 1 << 20;
+
   /// Bump-allocates \p Bytes (aligned to \p Align) and returns the
   /// address.  Allocation order controls data layout, which is how the
   /// workloads model sequentially vs. non-sequentially allocated hot data

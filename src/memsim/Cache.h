@@ -66,6 +66,12 @@ namespace memsim {
 /// A physical address in the simulated machine.
 using Addr = uint64_t;
 
+/// The simulated address space is 32-bit, like the paper's Pentium III:
+/// every address a program touches lies below this bound.  Traces are
+/// checked against it when read and the runtime's heap asserts it, so the
+/// hardware prefetchers can keep block numbers in 32-bit words.
+inline constexpr uint64_t AddressSpaceBytes = uint64_t{1} << 32;
+
 /// Geometry of one cache level.
 struct CacheConfig {
   uint64_t SizeBytes = 16 * 1024;

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cassert>
 
 using namespace hds;
 using namespace hds::prefetch;
@@ -36,7 +37,7 @@ MarkovPrefetcher::MarkovPrefetcher(const MarkovPrefetcherConfig &Cfg,
       HashShift(64u - static_cast<unsigned>(std::countr_zero(SlotMask + 1))) {
 }
 
-size_t MarkovPrefetcher::find(uint64_t Block) const {
+size_t MarkovPrefetcher::find(uint32_t Block) const {
   size_t Slot = homeSlot(Block);
   for (;;) {
     const uint32_t Id = Index[Slot];
@@ -66,11 +67,13 @@ void MarkovPrefetcher::onMiss(const AccessEvent &Event,
                               memsim::MemoryHierarchy &Hierarchy) {
   if (Store.empty()) {
     Store.map(storeBytes());
-    Pool = static_cast<uint64_t *>(Store.data());
-    Index = reinterpret_cast<uint32_t *>(Pool + size_t{NodeBound} * NodeWords);
+    Pool = static_cast<uint32_t *>(Store.data());
+    Index = Pool + size_t{NodeBound} * NodeWords;
     std::fill(Index, Index + slotCount(), NoNode);
   }
-  const uint64_t Block = Hierarchy.l1().blockOf(Event.Addr);
+  const uint64_t Wide = Hierarchy.l1().blockOf(Event.Addr);
+  assert(Wide < Empty && "block number does not fit 32 bits");
+  const auto Block = static_cast<uint32_t>(Wide);
   const uint32_t Slots = Config.SuccessorsPerNode;
 
   // (a) Learn: the previous miss is followed by this one.
@@ -89,11 +92,11 @@ void MarkovPrefetcher::onMiss(const AccessEvent &Event,
         ++Nodes;
       }
       Index[Slot] = Id;
-      uint64_t *Fresh = node(Id);
+      uint32_t *Fresh = node(Id);
       Fresh[0] = LastMissBlock;
       std::fill(Fresh + 1, Fresh + NodeWords, Empty);
     }
-    uint64_t *Successors = node(Id) + 1;
+    uint32_t *Successors = node(Id) + 1;
     uint32_t Pos = 0;
     while (Pos < Slots && Successors[Pos] != Block &&
            Successors[Pos] != Empty)
@@ -119,10 +122,10 @@ void MarkovPrefetcher::onMiss(const AccessEvent &Event,
   const uint32_t Id = Index[find(Block)];
   if (Id == NoNode)
     return;
-  const uint64_t *Node = node(Id);
+  const uint32_t *Node = node(Id);
   const uint64_t BlockBytes = Hierarchy.l1().config().BlockBytes;
   for (uint32_t I = 1; I <= Slots && Node[I] != Empty; ++I)
-    issue(Node[I] * BlockBytes, Hierarchy);
+    issue(uint64_t{Node[I]} * BlockBytes, Hierarchy);
 }
 
 void MarkovPrefetcher::reset() {

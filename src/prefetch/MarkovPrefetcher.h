@@ -28,12 +28,14 @@
 /// Layout: a node pool and a 32-bit index, both in one page mapping
 /// (support/PageMapping.h) created on the first miss, so a cell's set-up
 /// stays cheap, and released on reset().  A node is [block, successor x
-/// SuccessorsPerNode], ~0 marking an empty successor; the pool holds
-/// max(MaxNodes, 1) of them, addressed by node id.  The index is an
-/// open-addressed array of node ids (~0u = empty) sized from MaxNodes at
-/// a load of at most 2/3 (1/2 at the defaults), so it never rehashes:
-/// linear probing from a multiplicative hash of the block, backward-shift
-/// deletion (no tombstones).
+/// SuccessorsPerNode] in 32-bit words, ~0u marking an empty successor:
+/// the simulated address space is 32-bit (DESIGN.md), so every block
+/// number fits below that marker.  The pool holds max(MaxNodes, 1)
+/// nodes, addressed by node id.  The index is an open-addressed array of
+/// node ids (~0u = empty) sized from MaxNodes at a load of at most 2/3
+/// (1/2 at the defaults), so it never rehashes: linear probing from a
+/// multiplicative hash of the block, backward-shift deletion (no
+/// tombstones).
 ///
 /// FIFO rule: ids are handed out in insertion order and reused
 /// round-robin, so the id handed out next always belongs to the oldest
@@ -84,25 +86,25 @@ public:
   size_t slotCount() const { return SlotMask + 1; }
   /// The index slot \p Block's probe run starts at (tests build
   /// colliding keys with it).
-  size_t homeSlot(uint64_t Block) const {
+  size_t homeSlot(uint32_t Block) const {
     return static_cast<size_t>((Block * 0x9E3779B97F4A7C15ull) >> HashShift);
   }
   /// Bytes of the pool plus the index (mapped on the first miss).
   size_t storeBytes() const {
-    return size_t{NodeBound} * NodeWords * sizeof(uint64_t) +
-           slotCount() * sizeof(uint32_t);
+    return (size_t{NodeBound} * NodeWords + slotCount()) * sizeof(uint32_t);
   }
 
   void reset() override;
 
 private:
-  static constexpr uint64_t Empty = ~uint64_t{0};
+  /// An empty successor, and no previous miss; no block reaches it.
+  static constexpr uint32_t Empty = ~uint32_t{0};
   static constexpr uint32_t NoNode = ~uint32_t{0};
 
-  uint64_t *node(uint32_t Id) const { return Pool + size_t{Id} * NodeWords; }
+  uint32_t *node(uint32_t Id) const { return Pool + size_t{Id} * NodeWords; }
   /// The index slot holding \p Block's node, or the empty slot that ends
   /// its run.
-  size_t find(uint64_t Block) const;
+  size_t find(uint32_t Block) const;
   /// Empties the index slot at \p Hole, shifting later run members back.
   void erase(size_t Hole);
 
@@ -116,12 +118,12 @@ private:
   unsigned HashShift;
   /// The pool, then the index; unmapped until the first miss.
   PageMapping Store;
-  uint64_t *Pool = nullptr;
+  uint32_t *Pool = nullptr;
   uint32_t *Index = nullptr;
   size_t Nodes = 0;
   /// The id the next new node takes: insertion order, modulo NodeBound.
   uint32_t NextId = 0;
-  uint64_t LastMissBlock = Empty;
+  uint32_t LastMissBlock = Empty;
 };
 
 } // namespace prefetch

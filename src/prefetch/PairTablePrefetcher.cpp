@@ -6,10 +6,19 @@
 
 #include "prefetch/PairTablePrefetcher.h"
 
+#include <cassert>
+
 using namespace hds;
 using namespace hds::prefetch;
 
-void PairTablePrefetcher::train(uint64_t FromBlock, uint64_t ToBlock) {
+uint32_t PairTablePrefetcher::blockOf(memsim::Addr Addr,
+                                      const memsim::MemoryHierarchy &Hierarchy) {
+  const uint64_t Block = Hierarchy.l1().blockOf(Addr);
+  assert(Block < NoBlock && "block number does not fit 32 bits");
+  return static_cast<uint32_t>(Block);
+}
+
+void PairTablePrefetcher::train(uint32_t FromBlock, uint32_t ToBlock) {
   countTrain();
   Entry *Set = &Table[setBase(FromBlock)];
 
@@ -26,7 +35,7 @@ void PairTablePrefetcher::train(uint64_t FromBlock, uint64_t ToBlock) {
   // Empty way: allocate at confidence 1.
   for (uint32_t Way = 0; Way < Config.Ways; ++Way) {
     Entry &E = Set[Way];
-    if (E.KeyBlock == ~uint64_t{0}) {
+    if (E.KeyBlock == NoBlock) {
       E.KeyBlock = FromBlock;
       E.NextBlock = ToBlock;
       E.Confidence = 1;
@@ -50,7 +59,7 @@ void PairTablePrefetcher::train(uint64_t FromBlock, uint64_t ToBlock) {
   E.Confidence = 1;
 }
 
-void PairTablePrefetcher::predict(uint64_t Block, uint32_t Budget,
+void PairTablePrefetcher::predict(uint32_t Block, uint32_t Budget,
                                   uint64_t BlockBytes,
                                   memsim::MemoryHierarchy &Hierarchy) {
   const Entry *Set = &Table[setBase(Block)];
@@ -74,15 +83,15 @@ void PairTablePrefetcher::predict(uint64_t Block, uint32_t Budget,
   // A nested predict() (see Candidates) may rewrite the slots between
   // issues; this loop deliberately rereads them.
   for (uint32_t I = 0; I < Count && I < Budget; ++I)
-    issue(Set[Candidates[I]].NextBlock * BlockBytes, Hierarchy);
+    issue(uint64_t{Set[Candidates[I]].NextBlock} * BlockBytes, Hierarchy);
 }
 
 void PairTablePrefetcher::onMiss(const AccessEvent &Event,
                                  memsim::MemoryHierarchy &Hierarchy) {
   const uint64_t BlockBytes = Hierarchy.l1().config().BlockBytes;
-  const uint64_t Block = Hierarchy.l1().blockOf(Event.Addr);
+  const uint32_t Block = blockOf(Event.Addr, Hierarchy);
 
-  if (LastMissBlock != ~uint64_t{0} && LastMissBlock != Block)
+  if (LastMissBlock != NoBlock && LastMissBlock != Block)
     train(LastMissBlock, Block);
   LastMissBlock = Block;
 
@@ -96,13 +105,13 @@ void PairTablePrefetcher::onFill(memsim::Addr BlockAddr,
   if (!Config.ChainOnFill)
     return;
   const uint64_t BlockBytes = Hierarchy.l1().config().BlockBytes;
-  predict(Hierarchy.l1().blockOf(BlockAddr), 1, BlockBytes, Hierarchy);
+  predict(blockOf(BlockAddr, Hierarchy), 1, BlockBytes, Hierarchy);
 }
 
 uint64_t PairTablePrefetcher::occupiedEntries() const {
   uint64_t Count = 0;
   for (const Entry &E : Table)
-    Count += E.KeyBlock != ~uint64_t{0} ? 1 : 0;
+    Count += E.KeyBlock != NoBlock ? 1 : 0;
   return Count;
 }
 
@@ -110,5 +119,5 @@ void PairTablePrefetcher::reset() {
   Prefetcher::reset();
   for (Entry &E : Table)
     E = Entry();
-  LastMissBlock = ~uint64_t{0};
+  LastMissBlock = NoBlock;
 }

@@ -26,6 +26,12 @@
 /// threshold, and the onFill hook chains one step further per completed
 /// prefetch.
 ///
+/// Layout: an entry is 16 bytes of 32-bit words (key, successor,
+/// confidence, padding) — block numbers fit 32 bits because the simulated
+/// address space does (DESIGN.md).  The table starts on a 64-byte
+/// boundary inside its vector, so a set of the default four ways is
+/// exactly one host cache line.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef HDS_PREFETCH_PAIRTABLEPREFETCHER_H
@@ -34,7 +40,9 @@
 #include "prefetch/Prefetcher.h"
 
 #include <bit>
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace hds {
@@ -64,8 +72,12 @@ public:
   PairTablePrefetcher(const PairTableConfig &Cfg, uint32_t AssignedTag)
       : Prefetcher(Kind::PairTable, AssignedTag), Config(Cfg),
         SetsPow2(std::has_single_bit(Cfg.Sets)),
-        Table(static_cast<size_t>(Cfg.Sets) * Cfg.Ways),
+        Storage(size_t{Cfg.Sets} * Cfg.Ways + LineEntries - 1),
+        Table(lineStart(Storage), size_t{Cfg.Sets} * Cfg.Ways),
         Candidates(Cfg.Ways) {}
+  /// Table points into Storage, so a copy would share its entries.
+  PairTablePrefetcher(const PairTablePrefetcher &) = delete;
+  PairTablePrefetcher &operator=(const PairTablePrefetcher &) = delete;
 
   /// Observes an L1 miss: trains the (previous miss -> this miss) pair
   /// and issues this miss's recorded successors.
@@ -82,20 +94,33 @@ public:
   uint64_t occupiedEntries() const;
   /// Total table capacity in entries.
   uint64_t capacityEntries() const { return Table.size(); }
+  /// Bytes one set occupies (a host line at the default four ways).
+  size_t setBytes() const { return Config.Ways * sizeof(Entry); }
+  /// Where the first set starts (tests: sets sit on line boundaries).
+  const void *tableData() const { return Table.data(); }
 
   void reset() override;
 
 private:
-  struct Entry {
-    /// Key miss block; ~0 = empty.
-    uint64_t KeyBlock = ~uint64_t{0};
-    uint64_t NextBlock = 0;
+  /// No block reaches it: an empty entry's key, and no previous miss.
+  static constexpr uint32_t NoBlock = ~uint32_t{0};
+
+  struct alignas(16) Entry {
+    uint32_t KeyBlock = NoBlock;
+    uint32_t NextBlock = 0;
     /// As wide as MaxConfidence, so any ceiling saturates, never wraps.
     uint32_t Confidence = 0;
   };
-  static_assert(sizeof(Entry) == 24, "the widened counter fits the padding");
+  static_assert(sizeof(Entry) == 16, "four ways fill one 64-byte line");
+  static constexpr size_t LineEntries = 64 / sizeof(Entry);
 
-  size_t setBase(uint64_t Block) const {
+  /// The first entry of \p Storage that starts a 64-byte host line.
+  static Entry *lineStart(std::vector<Entry> &Storage) {
+    const auto Addr = reinterpret_cast<uintptr_t>(Storage.data());
+    return Storage.data() + (64 - Addr % 64) % 64 / sizeof(Entry);
+  }
+
+  size_t setBase(uint32_t Block) const {
     // Deterministic multiplicative mix so adjacent blocks spread over
     // sets (a plain modulo aliases strided workloads onto few sets).
     const uint64_t Mixed = (Block * 0x9E3779B97F4A7C15ull) >> 32;
@@ -104,15 +129,21 @@ private:
     return static_cast<size_t>(Set) * Config.Ways;
   }
 
-  void train(uint64_t FromBlock, uint64_t ToBlock);
+  /// The 32-bit number of the block holding \p Addr.
+  static uint32_t blockOf(memsim::Addr Addr,
+                          const memsim::MemoryHierarchy &Hierarchy);
+  void train(uint32_t FromBlock, uint32_t ToBlock);
   /// Issues up to \p Budget successors of \p Block, most confident first.
-  void predict(uint64_t Block, uint32_t Budget, uint64_t BlockBytes,
+  void predict(uint32_t Block, uint32_t Budget, uint64_t BlockBytes,
                memsim::MemoryHierarchy &Hierarchy);
 
   PairTableConfig Config;
   bool SetsPow2;
-  std::vector<Entry> Table;
-  uint64_t LastMissBlock = ~uint64_t{0};
+  /// Table's entries plus LineEntries - 1, so a line-aligned run fits.
+  std::vector<Entry> Storage;
+  /// Sets x Ways entries, set by set, from the first line of Storage.
+  std::span<Entry> Table;
+  uint32_t LastMissBlock = NoBlock;
   /// predict() candidate ways, sorted (confidence desc, way asc); one
   /// slot per way, sized once.  Nested fills share the buffer: issue()
   /// can drain a due prefetch whose onFill re-enters predict(), which

@@ -6,9 +6,12 @@
 
 #include "replay/TraceFormat.h"
 
+#include "core/Runtime.h"
+#include "memsim/Cache.h"
 #include "support/Table.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <cstring>
 
@@ -115,6 +118,39 @@ bool fail(std::string *Error, const std::string &Why) {
   if (Error)
     *Error = Why;
   return false;
+}
+
+/// Checks event \p I (\p E) against the 32-bit simulated address space,
+/// setting \p Error when it fails.  An access must lie below 2^32, and so
+/// must a recorded allocation.  \p HeapReach bounds the heap break a
+/// replay reaches whatever addresses the trace records (an allocation
+/// adds its size plus at most its alignment less one, a padding its
+/// size), so replaying the events can never push the heap past 2^32.
+bool checkAddressSpace(const TraceEvent &E, uint64_t I, uint64_t &HeapReach,
+                       std::string *Error) {
+  constexpr uint64_t Limit = memsim::AddressSpaceBytes;
+  const char *What = nullptr;
+  if (E.K == TraceEvent::Kind::Load || E.K == TraceEvent::Kind::Store) {
+    if (E.B >= Limit)
+      What = "access address";
+  } else if (E.K == TraceEvent::Kind::Allocate) {
+    if (!std::has_single_bit(E.B))
+      return fail(Error, formatString("allocation alignment %llu at event "
+                                      "%llu is not a power of two",
+                                      (unsigned long long)E.B,
+                                      (unsigned long long)I));
+    // Past the first test, neither sum below can wrap.
+    if (E.C >= Limit || E.A > Limit - E.C ||
+        (HeapReach += E.A + E.B - 1) > Limit)
+      What = "allocation";
+  } else if (E.K == TraceEvent::Kind::PadHeap) {
+    if (E.A > Limit || (HeapReach += E.A) > Limit)
+      What = "heap padding";
+  }
+  return !What ||
+         fail(Error, formatString("%s at event %llu leaves the 32-bit "
+                                  "simulated address space",
+                                  What, (unsigned long long)I));
 }
 
 } // namespace
@@ -282,6 +318,11 @@ bool hds::replay::deserializeTrace(const std::string &Bytes, Trace &Out,
                                       (unsigned long long)I));
     Out.Events.push_back(std::move(E));
   }
+
+  uint64_t HeapReach = core::Runtime::HeapBase;
+  for (uint64_t I = 0; I < Out.Events.size(); ++I)
+    if (!checkAddressSpace(Out.Events[I], I, HeapReach, Error))
+      return false;
 
   Out.Summary.Cycles = In.takeVarint();
   Out.Summary.TotalAccesses = In.takeVarint();

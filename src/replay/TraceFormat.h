@@ -143,7 +143,9 @@ struct Trace {
 std::string serializeTrace(const Trace &T);
 
 /// Parses \p Bytes; returns false (with \p Error set when non-null) on a
-/// bad magic, unsupported version, unknown opcode, or truncation.
+/// bad magic, unsupported version, unknown opcode, truncation, or an
+/// access, allocation or heap padding that reaches past the 32-bit
+/// simulated address space (memsim::AddressSpaceBytes).
 bool deserializeTrace(const std::string &Bytes, Trace &Out,
                       std::string *Error = nullptr);
 

@@ -85,7 +85,8 @@ void TraceRecorder::onAccess(vulcan::SiteId Site, memsim::Addr Addr,
 
 void TraceRecorder::onAccessBatch(const AccessEvent *Events, size_t Count) {
   // One virtual dispatch per block; the append loop is the whole body.
-  T.Events.reserve(T.Events.size() + Count);
+  // No reserve: an exact one would defeat the vector's geometric growth
+  // and copy every recorded event again whenever a batch overflows.
   for (size_t I = 0; I < Count; ++I)
     T.Events.push_back({Events[I].IsStore ? TraceEvent::Kind::Store
                                           : TraceEvent::Kind::Load,

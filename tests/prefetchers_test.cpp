@@ -9,6 +9,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Runtime.h"
+#include "engine/ExperimentRunner.h"
 #include "obs/PrefetchStats.h"
 #include "prefetch/MarkovPrefetcher.h"
 #include "prefetch/PairTablePrefetcher.h"
@@ -243,9 +244,9 @@ TEST_F(MarkovTest, EvictsOldestNodeFirst) {
 }
 
 TEST_F(MarkovTest, StoreFootprintAtDefaults) {
-  // 65536 nodes of [block, 2 successors] plus a 131072-slot index of
-  // 32-bit node ids: 65536 * 24 + 131072 * 4 bytes, 2 MiB in all.
-  EXPECT_EQ(Prefetcher.storeBytes(), 2097152u);
+  // 65536 nodes of [block, 2 successors] in 32-bit words plus a
+  // 131072-slot index of 32-bit node ids: 65536 * 12 + 131072 * 4 bytes.
+  EXPECT_EQ(Prefetcher.storeBytes(), 1310720u);
 }
 
 /// One engine under test plus the hierarchy it issues into.  The
@@ -275,12 +276,14 @@ template <typename EngineT> struct OracleLane {
 };
 
 /// Blocks whose probe runs start in the last two slots of \p Table, so
-/// runs of them wrap past the table's end.
-std::vector<uint64_t> collidingBlocks(const MarkovPrefetcher &Table,
+/// runs of them wrap past the table's end.  They are drawn below 2^27,
+/// so that their 32-byte blocks stay in the 32-bit address space.
+std::vector<uint32_t> collidingBlocks(const MarkovPrefetcher &Table,
                                       size_t Count, Rng &Random) {
-  std::vector<uint64_t> Blocks;
+  std::vector<uint32_t> Blocks;
   while (Blocks.size() < Count) {
-    const uint64_t Block = Random.nextBelow(uint64_t{1} << 40);
+    const auto Block =
+        static_cast<uint32_t>(Random.nextBelow(uint64_t{1} << 27));
     if (Table.homeSlot(Block) + 2 >= Table.slotCount())
       Blocks.push_back(Block);
   }
@@ -308,7 +311,7 @@ TEST(MarkovOracleTest, FlatTableMatchesReferenceInLockstep) {
       OracleLane<hds::testing::ReferenceMarkov> Reference(Config);
 
       Rng Random(0xC0FFEEull * MaxNodes + Successors);
-      const std::vector<uint64_t> Colliders =
+      const std::vector<uint32_t> Colliders =
           collidingBlocks(Flat.Engine, 8, Random);
       const uint64_t Universe = 3 * uint64_t{MaxNodes} + 8;
       const size_t Misses = MaxNodes >= 65536 ? 200000 : 4000;
@@ -482,6 +485,13 @@ TEST_F(PairTableTest, MetadataStaysStrictlyBounded) {
     Small.onMiss(miss(0x1000 + A * 0x1000), Memory);
   EXPECT_LE(Small.occupiedEntries(), Small.capacityEntries());
   EXPECT_GT(Small.trains(), 0u);
+}
+
+TEST_F(PairTableTest, DefaultSetIsOneAlignedHostLine) {
+  // Four 16-byte ways from a 64-byte boundary: each set is exactly one
+  // 64-byte host cache line.
+  EXPECT_EQ(Prefetcher.setBytes(), 64u);
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(Prefetcher.tableData()) % 64, 0u);
 }
 
 TEST_F(PairTableTest, NoisePairsMustOutvoteResidents) {
@@ -772,6 +782,37 @@ TEST(AdaptiveHibernationTest, ComparesReferencesNotTheirPerCycleIds) {
   const uint64_t Base = Rt.config().Tracing.NHibernate;
   EXPECT_EQ(Stats.Cycles[0].NextHibernationPeriods, Base);
   EXPECT_EQ(Stats.Cycles[1].NextHibernationPeriods, 2 * Base);
+}
+
+TEST(AdaptiveHibernationTest, PinsTheAblationTrails) {
+  // No matrix cell runs adaptive hibernation, so this pins its exact
+  // outcome on the two runs of bench/ablation_adaptive (scale 0.2) whose
+  // hibernation stretches: the cycles, and the hibernation length chosen
+  // after each optimization cycle.
+  struct Pin {
+    const char *Workload;
+    uint64_t Cycles;
+    std::vector<uint64_t> Trail;
+  };
+  const Pin Pins[] = {
+      {"mcf", 278940601, {150, 300}},
+      {"vortex", 291330708, {150, 300}},
+  };
+  for (const Pin &P : Pins) {
+    SCOPED_TRACE(P.Workload);
+    engine::ExperimentSpec Spec;
+    Spec.Workload = P.Workload;
+    Spec.Mode = RunMode::DynamicPrefetch;
+    Spec.Scale = 0.2;
+    Spec.Adaptive = true;
+    const engine::RunResult Result = engine::runExperiment(Spec);
+    ASSERT_TRUE(Result.ok());
+    std::vector<uint64_t> Trail;
+    for (const CycleStats &Cycle : Result.Stats.Cycles)
+      Trail.push_back(Cycle.NextHibernationPeriods);
+    EXPECT_EQ(Result.Cycles, P.Cycles);
+    EXPECT_EQ(Trail, P.Trail);
+  }
 }
 
 TEST(AdaptiveHibernationTest, BoundedByMaxFactor) {

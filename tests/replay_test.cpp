@@ -8,6 +8,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "core/Runtime.h"
 #include "replay/Oracles.h"
 #include "replay/TraceFormat.h"
 #include "replay/TraceRecorder.h"
@@ -189,6 +190,51 @@ TEST(TraceFormatTest, StringLengthNearTwoToThe64IsRejected) {
   EXPECT_FALSE(rp::deserializeTrace(Bytes, Back, &Error))
       << "decoded workload of " << Back.Meta.Workload.size() << " bytes";
   EXPECT_EQ(Error, "truncated trace meta");
+}
+
+TEST(TraceFormatTest, RejectsBytesPastTheAddressSpace) {
+  // The simulated address space is 32-bit: a trace may name byte
+  // 2^32 - 1 but none past it, whether by access or recorded allocation,
+  // and its allocations and paddings together may not be able to push the
+  // replayed heap past it.  sampleTrace's heap can reach HeapBase + 95:
+  // 64 bytes at alignment 8 (up to 71) and 24 bytes of padding.
+  using K = rp::TraceEvent::Kind;
+  const uint64_t Limit = uint64_t{1} << 32;
+  const uint64_t Room = Limit - hds::core::Runtime::HeapBase - 95;
+  const std::string Past = " at event 11 leaves the 32-bit simulated "
+                           "address space";
+  struct Case {
+    std::vector<rp::TraceEvent> Events;
+    std::string Error; ///< empty: the trace reads back
+  } Cases[] = {
+      {{{K::Load, 0, Limit - 1, 0, {}}}, ""},
+      {{{K::Load, 0, Limit, 0, {}}}, "access address" + Past},
+      {{{K::Store, 0, ~uint64_t{0}, 0, {}}}, "access address" + Past},
+      {{{K::Allocate, 64, 8, Limit - 64, {}}}, ""},
+      {{{K::Allocate, 65, 8, Limit - 64, {}}}, "allocation" + Past},
+      {{{K::Allocate, 0, 8, Limit, {}}}, "allocation" + Past},
+      {{{K::Allocate, 8, uint64_t{1} << 40, 0x200000, {}}},
+       "allocation" + Past},
+      {{{K::Allocate, 8, 3, 0x200000, {}}},
+       "allocation alignment 3 at event 11 is not a power of two"},
+      {{{K::Allocate, 8, 0, 0x200000, {}}},
+       "allocation alignment 0 at event 11 is not a power of two"},
+      {{{K::PadHeap, Room, 0, 0, {}}}, ""},
+      {{{K::PadHeap, Room + 1, 0, 0, {}}}, "heap padding" + Past},
+      // Each padding fits alone; together they would not.
+      {{{K::PadHeap, Room / 2 + 1, 0, 0, {}}, {K::PadHeap, Room / 2 + 1, 0, 0, {}}},
+       "heap padding at event 12 leaves the 32-bit simulated address space"},
+  };
+  for (const Case &C : Cases) {
+    rp::Trace T = sampleTrace();
+    T.Events.insert(T.Events.end(), C.Events.begin(), C.Events.end());
+    rp::Trace Back;
+    std::string Error;
+    EXPECT_EQ(rp::deserializeTrace(rp::serializeTrace(T), Back, &Error),
+              C.Error.empty())
+        << Error;
+    EXPECT_EQ(Error, C.Error);
+  }
 }
 
 TEST(TraceFormatTest, FileRoundTrip) {
