@@ -9,6 +9,7 @@
 #include "prefetch/Prefetcher.h"
 #include "support/ParseInt.h"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
@@ -93,18 +94,13 @@ OptionSet &OptionSet::unsAtLeastOne(const char *Name, unsigned &Target) {
   return addInteger(*this, Name, Target, 1);
 }
 
-OptionSet &OptionSet::looseDouble(const char *Name, double &Target) {
-  return add(Name, 1, [&Target](const char *const *Ops) {
-    Target = std::atof(Ops[0]);
-  });
-}
-
 OptionSet &OptionSet::positiveDouble(const char *Name, double &Target) {
   std::string Flag = Name;
   return add(Name, 1, [&Target, Flag](const char *const *Ops) {
     char *End = nullptr;
     Target = std::strtod(Ops[0], &End);
-    if (End == Ops[0] || *End != '\0' || !(Target > 0.0)) {
+    if (End == Ops[0] || *End != '\0' || !std::isfinite(Target) ||
+        !(Target > 0.0)) {
       std::fprintf(stderr,
                    "error: invalid %s '%s' (need a finite number > 0)\n",
                    Flag.c_str(), Ops[0]);
@@ -133,6 +129,11 @@ OptionSet &OptionSet::runMode(const char *Name, core::RunMode &Target) {
   });
 }
 
+OptionSet &OptionSet::operand(std::string &Target) {
+  Operand = &Target;
+  return *this;
+}
+
 void OptionSet::parse(int Argc, char **Argv) const {
   for (int I = 1; I < Argc; ++I) {
     const Option *Match = nullptr;
@@ -141,6 +142,10 @@ void OptionSet::parse(int Argc, char **Argv) const {
         Match = &Candidate;
         break;
       }
+    if (!Match && Operand && Argv[I][0] != '-') {
+      *Operand = Argv[I];
+      continue;
+    }
     if (!Match || I + static_cast<int>(Match->Operands) >= Argc) {
       // The tools' usage callbacks exit; stop scanning anyway so a
       // callback that returns (tests) leaves the parse well defined.

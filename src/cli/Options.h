@@ -5,12 +5,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The one command-line vocabulary shared by hds_run, hds_matrix, and
-/// hds_bench.  Each tool declares its options against an OptionSet and
-/// calls parse(); the set owns matching, operand collection, and the
-/// numeric conversions, so a flag like --adaptive or --scale is defined
-/// (spelling, operand shape, validation, error text) in exactly one
-/// place and every tool parses it identically.
+/// The one command-line vocabulary shared by hds_run, hds_matrix,
+/// hds_bench and hds_analyze.  Each tool declares its options against an
+/// OptionSet and calls parse(); the set owns matching, operand
+/// collection, and the numeric conversions, so a flag like --adaptive or
+/// --scale is defined (spelling, operand shape, validation, error text)
+/// in exactly one place and every tool parses it identically.
 ///
 /// Numeric options are strict: an integer operand must be plain decimal
 /// digits that fit the target (no sign, no trailing bytes, no overflow),
@@ -72,8 +72,6 @@ public:
   /// (hds_bench --repeat).
   OptionSet &unsAtLeastOne(const char *Name, unsigned &Target);
 
-  /// atof, anything goes (the historical hds_run --scale).
-  OptionSet &looseDouble(const char *Name, double &Target);
   /// Strict parse; "error: invalid --name '...' (need a finite number
   /// > 0)" and exit 2 unless the value is finite and positive.
   OptionSet &positiveDouble(const char *Name, double &Target);
@@ -90,6 +88,11 @@ public:
   OptionSet &add(const char *Name, unsigned Operands,
                  std::function<void(const char *const *)> Apply);
 
+  /// The argument that is not an option (hds_analyze's trace file); a
+  /// later one replaces an earlier one.  Without this registration such
+  /// an argument calls the usage callback.
+  OptionSet &operand(std::string &Target);
+
   /// Walks argv; calls the usage callback on anything unregistered.
   void parse(int Argc, char **Argv) const;
 
@@ -103,6 +106,7 @@ private:
 
   UsageFn Usage;
   std::vector<Option> Table;
+  std::string *Operand = nullptr;
 };
 
 /// Registers the four hardware-prefetcher flags (--stride --markov

@@ -86,6 +86,12 @@ void PrefetchEngine::firePrefetches(dfsm::StreamIndex StreamIdx,
   const uint64_t Count =
       std::min<uint64_t>(Tail > Distance ? Tail - Distance : 0, Degree);
   switch (Config.Mode) {
+  case RunMode::Original:
+  case RunMode::ChecksOnly:
+  case RunMode::Profile:
+  case RunMode::ProfileAnalyze:
+    assert(false && "prefetch engine installed in a non-matching mode");
+    break;
   case RunMode::MatchNoPrefetch:
     break; // measure matching cost only (Figure 12 "No-pref")
   case RunMode::SequentialPrefetch: {
@@ -105,9 +111,6 @@ void PrefetchEngine::firePrefetches(dfsm::StreamIndex StreamIdx,
                            /*ChargeIssueSlot=*/true, Stream.Tag);
       ++Stats.PrefetchesRequested;
     }
-    break;
-  default:
-    assert(false && "prefetch engine installed in a non-matching mode");
     break;
   }
 }

@@ -8,6 +8,7 @@
 
 #include "core/Runtime.h"
 #include "support/Rng.h"
+#include "support/Table.h"
 #include "workloads/Workload.h"
 
 #include <algorithm>
@@ -19,6 +20,42 @@
 using namespace hds;
 using namespace hds::engine;
 
+std::optional<uint64_t> hds::engine::scaledIterations(uint64_t Default,
+                                                      double Scale) {
+  const double Product = static_cast<double>(Default) * Scale;
+  // 2^64: the first double that a uint64_t cannot hold.  The negated
+  // comparison also rejects NaN.
+  if (!(Product >= 0.0 && Product < 18446744073709551616.0))
+    return std::nullopt;
+  return std::max<uint64_t>(static_cast<uint64_t>(Product), 1);
+}
+
+namespace {
+
+std::string iterationOverflow(const ExperimentSpec &Spec) {
+  return formatString("scale %g gives workload '%s' more iterations than "
+                      "fit in 64 bits",
+                      Spec.Scale, Spec.Workload.c_str());
+}
+
+} // namespace
+
+bool hds::engine::checkIterations(std::span<const ExperimentSpec> Specs,
+                                  std::string *Error) {
+  for (const ExperimentSpec &Spec : Specs) {
+    if (Spec.Iterations != 0)
+      continue;
+    // An unknown workload is runExperiment's error to report.
+    const std::unique_ptr<workloads::Workload> Bench =
+        workloads::createWorkload(Spec.Workload);
+    if (Bench && !scaledIterations(Bench->defaultIterations(), Spec.Scale)) {
+      *Error = iterationOverflow(Spec);
+      return false;
+    }
+  }
+  return true;
+}
+
 RunResult hds::engine::runExperiment(const ExperimentSpec &Spec,
                                      ConfigTweak Tweak) {
   RunResult Result;
@@ -29,6 +66,16 @@ RunResult hds::engine::runExperiment(const ExperimentSpec &Spec,
   if (!Bench) {
     Result.State = RunResult::Status::Error;
     Result.Error = "unknown workload '" + Spec.Workload + "'";
+    return Result;
+  }
+
+  const std::optional<uint64_t> Iterations =
+      Spec.Iterations != 0
+          ? Spec.Iterations
+          : scaledIterations(Bench->defaultIterations(), Spec.Scale);
+  if (!Iterations) {
+    Result.State = RunResult::Status::Error;
+    Result.Error = iterationOverflow(Spec);
     return Result;
   }
 
@@ -48,16 +95,10 @@ RunResult hds::engine::runExperiment(const ExperimentSpec &Spec,
 
   Bench->setup(Rt);
 
-  uint64_t Iterations = Spec.Iterations;
-  if (Iterations == 0)
-    Iterations = static_cast<uint64_t>(
-        static_cast<double>(Bench->defaultIterations()) * Spec.Scale);
-  if (Iterations == 0)
-    Iterations = 1;
-  Bench->run(Rt, Iterations);
+  Bench->run(Rt, *Iterations);
 
   Result.State = RunResult::Status::Ok;
-  Result.Iterations = Iterations;
+  Result.Iterations = *Iterations;
   Result.Cycles = Rt.cycles();
   Result.Stats = Rt.stats();
   Result.Memory = Rt.memory().stats();

@@ -27,6 +27,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -102,7 +103,18 @@ struct RunResult {
 /// never applies one; only direct runExperiment callers do.
 using ConfigTweak = void (*)(core::OptimizerConfig &);
 
-/// Runs one spec to completion in the calling thread.
+/// \p Default × \p Scale as an iteration count, at least 1.  Empty when
+/// the product is not finite or does not fit uint64_t.
+std::optional<uint64_t> scaledIterations(uint64_t Default, double Scale);
+
+/// Checks that every spec without an explicit iteration count scales its
+/// workload's default to a count that fits uint64_t.  On failure returns
+/// false and describes the first offending spec in \p Error.
+bool checkIterations(std::span<const ExperimentSpec> Specs,
+                     std::string *Error);
+
+/// Runs one spec to completion in the calling thread.  A spec whose
+/// scaled iteration count does not fit uint64_t is an error.
 RunResult runExperiment(const ExperimentSpec &Spec,
                         ConfigTweak Tweak = nullptr);
 

@@ -298,9 +298,11 @@ std::string scalarToText(const JsonValue &Value) {
     return Value.StringValue;
   case JsonValue::Kind::Null:
     return "null";
-  default:
-    return "<composite>";
+  case JsonValue::Kind::Object:
+  case JsonValue::Kind::Array:
+    break;
   }
+  return "<composite>";
 }
 
 /// A result cell flattened to its identity key, status, and a
@@ -327,8 +329,12 @@ void flattenMetrics(const JsonValue &Object, const std::string &Prefix,
           flattenMetrics(Value.Elements[I],
                          Path + "[" + std::to_string(I) + "]", Out);
       break;
-    default:
+    case JsonValue::Kind::Null:
+    case JsonValue::Kind::Bool:
+    case JsonValue::Kind::Number:
+    case JsonValue::Kind::String:
       Out.Metrics.emplace_back(Path, &Value);
+      break;
     }
   }
 }

@@ -7,7 +7,6 @@
 #include "lint/Rules.h"
 
 #include "lint/IncludeGraph.h"
-#include "lint/ScopeTracker.h"
 #include "lint/TokenUtil.h"
 
 #include <algorithm>
@@ -530,59 +529,6 @@ found:
   return Guard;
 }
 
-/// One H1 requirement: a header using \p Symbol (std-qualified when
-/// \p NeedsStd) must include one of \p Headers itself.  The first header
-/// is the one the fix hint suggests.
-struct HeaderReq {
-  std::string Symbol;
-  bool NeedsStd = false;
-  std::vector<std::string> Headers;
-};
-
-/// The curated symbol→header table.
-const std::vector<HeaderReq> &headerTable() {
-  static const std::vector<HeaderReq> Reqs = {
-      {"vector", true, {"vector"}},
-      {"optional", true, {"optional"}},
-      {"variant", true, {"variant"}},
-      {"expected", true, {"expected"}},
-      {"array", true, {"array"}},
-      {"span", true, {"span"}},
-      {"string", true, {"string"}},
-      {"unordered_map", true, {"unordered_map"}},
-      {"unordered_set", true, {"unordered_set"}},
-      {"map", true, {"map"}},
-      {"set", true, {"set"}},
-      {"deque", true, {"deque"}},
-      {"function", true, {"functional"}},
-      {"pair", true, {"utility", "map", "unordered_map"}},
-      {"unique_ptr", true, {"memory"}},
-      {"shared_ptr", true, {"memory"}},
-      {"make_unique", true, {"memory"}},
-      {"sort", true, {"algorithm"}},
-      {"stable_sort", true, {"algorithm"}},
-      {"lower_bound", true, {"algorithm"}},
-      {"upper_bound", true, {"algorithm"}},
-      {"ostream", true, {"ostream", "iostream", "sstream", "iosfwd"}},
-      {"istream", true, {"istream", "iostream", "sstream", "iosfwd"}},
-      {"uint8_t", false, {"cstdint", "stdint.h"}},
-      {"uint16_t", false, {"cstdint", "stdint.h"}},
-      {"uint32_t", false, {"cstdint", "stdint.h"}},
-      {"uint64_t", false, {"cstdint", "stdint.h"}},
-      {"int8_t", false, {"cstdint", "stdint.h"}},
-      {"int16_t", false, {"cstdint", "stdint.h"}},
-      {"int32_t", false, {"cstdint", "stdint.h"}},
-      {"int64_t", false, {"cstdint", "stdint.h"}},
-      {"uintptr_t", false, {"cstdint", "stdint.h"}},
-      {"size_t", false, {"cstddef", "cstdint", "cstdio", "cstring"}},
-      {"assert", false, {"cassert", "assert.h"}},
-      {"memcpy", false, {"cstring", "string.h"}},
-      {"memset", false, {"cstring", "string.h"}},
-      {"memmove", false, {"cstring", "string.h"}},
-  };
-  return Reqs;
-}
-
 void checkH1(const LexedFile &File, std::vector<Finding> &Out) {
   if (!isHeaderPath(File.Path))
     return;
@@ -624,47 +570,6 @@ void checkH1(const LexedFile &File, std::vector<Finding> &Out) {
                            "' is not #defined immediately after #ifndef",
                        "pair `#ifndef " + Guard + "` with `#define " +
                            Guard + "`"});
-    }
-  }
-
-  // Self-containment: used symbols must be included by this header.
-  std::set<std::string> Included;
-  for (const Directive &D : File.Directives) {
-    if (!startsWith(D.Text, "include"))
-      continue;
-    size_t B = D.Text.find_first_of("<\"");
-    size_t E = D.Text.find_first_of(">\"", B + 1);
-    if (B != std::string::npos && E != std::string::npos)
-      Included.insert(D.Text.substr(B + 1, E - B - 1));
-  }
-  const Toks &T = File.Toks;
-  std::set<std::string> AlreadyFlagged;
-  for (size_t I = 0; I < T.size(); ++I) {
-    if (T[I].K != Token::Ident)
-      continue;
-    for (const HeaderReq &Req : headerTable()) {
-      if (T[I].Text != Req.Symbol || AlreadyFlagged.count(Req.Symbol))
-        continue;
-      if (Req.NeedsStd &&
-          !(I >= 2 && isPunct(T, I - 1, "::") && isIdent(T, I - 2, "std")))
-        continue;
-      if (!Req.NeedsStd &&
-          (isPunct(T, I + 1, "::") ||
-           (I > 0 && (isPunct(T, I - 1, ".") || isPunct(T, I - 1, "->")))))
-        continue;
-      bool Satisfied = false;
-      for (const std::string &H : Req.Headers)
-        if (Included.count(H))
-          Satisfied = true;
-      if (!Satisfied) {
-        AlreadyFlagged.insert(Req.Symbol);
-        Out.push_back({"H1", File.Path, T[I].Line,
-                       "header uses '" + T[I].Text + "' but does not "
-                       "include <" + Req.Headers.front() +
-                           "> itself (not self-contained)",
-                       "add `#include <" + Req.Headers.front() +
-                           ">` to this header"});
-      }
     }
   }
 }
@@ -834,146 +739,6 @@ void checkD5(const LexedFile &File, std::vector<Finding> &Out) {
   }
 }
 
-//===----------------------------------------------------------------------===//
-// E1: exhaustive dispatch over marked enums
-//===----------------------------------------------------------------------===//
-
-/// One enum marked `// hds-exhaustive`, cross-TU.  The owning class and
-/// scoped-ness decide which label spellings attribute a switch to it:
-/// `Enum::Member` always, `OwningClass::Member` and bare `Member` only
-/// for unscoped enums (the latter only inside the owning class's scope).
-/// Attribution additionally requires the member name to actually belong
-/// to the enum, so a switch over some other enum that happens to share
-/// the name (every third enum is called `Kind`) is never misattributed.
-struct MarkedEnum {
-  std::string Name;
-  std::string OwningClass; ///< "" for namespace-scope enums
-  bool Scoped = false;
-  std::set<std::string> Members;
-  std::vector<std::string> Order; ///< declaration order, for messages
-};
-using MarkedEnums = std::vector<MarkedEnum>;
-
-MarkedEnums collectMarkedEnums(const std::vector<LexedFile> &Files) {
-  MarkedEnums Marked;
-  for (const LexedFile &File : Files)
-    for (const EnumDef &E : findEnums(File)) {
-      if (!E.Exhaustive)
-        continue;
-      MarkedEnum M;
-      M.Name = E.Name;
-      M.OwningClass = E.OwningClass;
-      M.Scoped = E.Scoped;
-      M.Members.insert(E.Enumerators.begin(), E.Enumerators.end());
-      M.Order = E.Enumerators;
-      Marked.push_back(std::move(M));
-    }
-  return Marked;
-}
-
-void checkE1(const LexedFile &File, const MarkedEnums &Marked,
-             std::vector<Finding> &Out) {
-  if (Marked.empty())
-    return;
-  const Toks &T = File.Toks;
-  const std::vector<ClassSpan> Classes = findClassSpans(T);
-  const std::vector<FunctionBody> Bodies = findFunctionBodies(T, Classes);
-  for (size_t I = 0; I < T.size(); ++I) {
-    if (!isIdent(T, I, "switch") || !isPunct(T, I + 1, "("))
-      continue;
-    size_t CondClose = matchingClose(T, I + 1);
-    if (CondClose == T.size() || !isPunct(T, CondClose + 1, "{"))
-      continue;
-    size_t BodyClose = matchingClose(T, CondClose + 1);
-    if (BodyClose == T.size())
-      continue;
-
-    // Class scopes the switch sits in: lexically nested class bodies
-    // plus the owning class of an out-of-line member definition.  Bare
-    // `case Member:` labels resolve against these.
-    std::set<std::string> EnclosingClasses;
-    for (const ClassSpan &CS : Classes)
-      if (CS.Open < I && I < CS.Close)
-        EnclosingClasses.insert(CS.Name);
-    for (const FunctionBody &FB : Bodies)
-      if (FB.Open < I && I < FB.Close && !FB.ClassName.empty())
-        EnclosingClasses.insert(FB.ClassName);
-
-    // Depth-1 labels only: labels of nested switches belong to them.
-    std::map<size_t, std::set<std::string>> Covered; // enum idx -> members
-    bool HasDefault = false;
-    unsigned DefaultLine = 0;
-    int Depth = 0;
-    for (size_t J = CondClose + 1; J < BodyClose; ++J) {
-      if (T[J].K == Token::Punct) {
-        if (T[J].Text == "{")
-          ++Depth;
-        else if (T[J].Text == "}")
-          --Depth;
-        continue;
-      }
-      if (Depth != 1)
-        continue;
-      if (isIdent(T, J, "default") && isPunct(T, J + 1, ":")) {
-        HasDefault = true;
-        DefaultLine = T[J].Line;
-      } else if (isIdent(T, J, "case")) {
-        // Bare label: `case Member:` — a single identifier.  Valid only
-        // for unscoped enums, and for class-nested ones only inside the
-        // owning class's own scope.
-        if (T[J + 1].K == Token::Ident && isPunct(T, J + 2, ":"))
-          for (size_t E = 0; E < Marked.size(); ++E)
-            if (!Marked[E].Scoped && Marked[E].Members.count(T[J + 1].Text) &&
-                (Marked[E].OwningClass.empty() ||
-                 EnclosingClasses.count(Marked[E].OwningClass)))
-              Covered[E].insert(T[J + 1].Text);
-        // Qualified: scan the label up to its ':' for `Qual :: Member`
-        // pairs.  The qualifier may be the enum itself (any enum) or
-        // the owning class (unscoped nested enums only).
-        for (size_t K = J + 1; K < BodyClose && !isPunct(T, K, ":"); ++K) {
-          if (T[K].K != Token::Ident || !isPunct(T, K + 1, "::") ||
-              K + 2 >= BodyClose || T[K + 2].K != Token::Ident)
-            continue;
-          for (size_t E = 0; E < Marked.size(); ++E) {
-            bool QualMatches =
-                T[K].Text == Marked[E].Name ||
-                (!Marked[E].Scoped && !Marked[E].OwningClass.empty() &&
-                 T[K].Text == Marked[E].OwningClass);
-            if (QualMatches && Marked[E].Members.count(T[K + 2].Text))
-              Covered[E].insert(T[K + 2].Text);
-          }
-        }
-      }
-    }
-
-    for (const auto &[EnumIdx, Members] : Covered) {
-      const MarkedEnum &Enum = Marked[EnumIdx];
-      if (HasDefault)
-        Out.push_back(
-            {"E1", File.Path, DefaultLine,
-             "switch over hds-exhaustive enum '" + Enum.Name +
-                 "' has a `default:`; it would silently swallow new "
-                 "enumerators",
-             "remove the default and cover every enumerator explicitly "
-             "(a trailing return after the switch handles the "
-             "out-of-range case), or annotate "
-             "`// hds-lint: exhaustive-ok(<why>)`"});
-      std::string Missing;
-      for (const std::string &M : Enum.Order)
-        if (!Members.count(M))
-          Missing += (Missing.empty() ? "" : ", ") + M;
-      if (!Missing.empty())
-        Out.push_back(
-            {"E1", File.Path, T[I].Line,
-             "switch over hds-exhaustive enum '" + Enum.Name +
-                 "' does not cover: " + Missing,
-             "add the missing `case " + Enum.Name +
-                 "::...` labels, or annotate "
-                 "`// hds-lint: exhaustive-ok(<why>)`"});
-    }
-  }
-}
-
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -991,16 +756,13 @@ const std::vector<RuleInfo> &ruleCatalog() {
       {"D4", "alloc-ok",
        "no raw new/delete/malloc outside designated allocator files"},
       {"H1", "header-ok",
-       "canonical include guards and self-contained headers"},
+       "canonical include guards (self-containment is a compile check)"},
       {"C1", "cycles-ok",
        "cycle charging must route through obs::CycleAccount::charge (the "
        "rule discovers the class's fields from its definition)"},
       {"D5", "float-cycles-ok",
        "cycle and heat accounting must use integer arithmetic, not "
        "float/double"},
-      {"E1", "exhaustive-ok",
-       "switches over hds-exhaustive enums cover every enumerator, with "
-       "no default"},
       {"SUP", nullptr, "hds-lint suppression comments must be well-formed"},
       {"STALE", nullptr,
        "suppression notes whose rule no longer fires there "
@@ -1013,7 +775,6 @@ std::vector<Finding> runLint(const std::vector<LexedFile> &Files,
                              const LintOptions &Opts) {
   ProjectIndex Index = buildIndex(Files);
   const CycleAccountInfo Account = findCycleAccount(Files);
-  const MarkedEnums Marked = collectMarkedEnums(Files);
 
   auto RuleEnabled = [&](const char *Id) {
     if (Opts.OnlyRules.empty())
@@ -1043,8 +804,6 @@ std::vector<Finding> runLint(const std::vector<LexedFile> &Files,
       checkC1(File, Account, Raw);
     if (RuleEnabled("D5"))
       checkD5(File, Raw);
-    if (RuleEnabled("E1"))
-      checkE1(File, Marked, Raw);
 
     for (Finding &F : Raw) {
       const char *Tag = nullptr;

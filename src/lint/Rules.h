@@ -12,10 +12,9 @@
 ///   D2  no iteration over unordered containers without an ordered-ok note
 ///   D3  no ordering or sorting keyed on raw pointer values
 ///   D4  no raw new/delete/malloc outside designated allocator files
-///   H1  header hygiene: canonical include guards, self-contained includes
+///   H1  canonical include guards
 ///   C1  cycle accounting must route through the MemoryHierarchy API
 ///   D5  cycle/heat accounting must stay in integer arithmetic
-///   E1  switches over hds-exhaustive enums cover every enumerator
 ///   SUP malformed hds-lint suppression comments
 ///   STALE suppressions whose rule no longer fires (--stale-suppressions)
 ///
@@ -39,7 +38,7 @@ namespace lint {
 
 /// One reported violation.
 struct Finding {
-  std::string RuleId; ///< "D1" ... "D5", "H1", "C1", "E1", "SUP", "STALE"
+  std::string RuleId; ///< "D1" ... "D5", "H1", "C1", "SUP", "STALE"
   std::string Path;   ///< display path of the offending file
   unsigned Line = 0;
   std::string Message;
@@ -65,9 +64,9 @@ struct LintOptions {
 
 /// Runs every (selected) rule over \p Files and returns the unsuppressed
 /// findings, sorted by path, line, and rule id.  Cross-file context (the
-/// D2 unordered-container index, the C1 account fields, the E1 marked
-/// enums) is built from exactly the files passed in, so callers should
-/// lint a whole tree at once.
+/// D2 unordered-container index, the C1 account fields) is built from
+/// exactly the files passed in, so callers should lint a whole tree at
+/// once.
 std::vector<Finding> runLint(const std::vector<LexedFile> &Files,
                              const LintOptions &Opts = LintOptions());
 

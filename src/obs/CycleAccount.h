@@ -33,7 +33,6 @@ namespace obs {
 /// Attribution phase for a charged cycle.  The enumerators are a
 /// partition: every simulated cycle lands in exactly one phase, so the
 /// per-phase totals always sum to the clock.
-// hds-exhaustive
 enum class CyclePhase : uint8_t {
   /// Workload computation plus the non-stalled portion of demand access
   /// latency (the single cycle an L1 hit costs).

@@ -31,7 +31,6 @@ namespace obs {
 
 /// Kind of quantity a metric reports.  Everything in the tree today is a
 /// monotone counter or a point-in-time gauge snapshot of one.
-// hds-exhaustive
 enum class MetricKind : unsigned char {
   Counter, ///< monotonically increasing over a run
   Gauge,   ///< point-in-time value (e.g. a chosen hibernation length)

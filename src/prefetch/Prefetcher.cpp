@@ -10,7 +10,6 @@ using namespace hds;
 using namespace hds::prefetch;
 
 const char *Prefetcher::kindToken(Kind K) {
-  // hds-exhaustive (unqualified class-scope dispatch, lint rule E1)
   switch (K) {
   case Stride:
     return "stride";

@@ -65,12 +65,11 @@ struct AccessEvent {
 /// issue(), which applies the per-prefetcher tag.
 class Prefetcher {
 public:
-  /// The zoo roster.  Unscoped on purpose: dispatch inside this class
-  /// uses bare enumerator case labels, the pattern hds_lint rule E1
-  /// checks for exhaustiveness in class scope.  Values appear in the
-  /// results JSON (the "kind" gauge of the prefetchers result block), so
-  /// new engines are appended; tests/tuning_test.cpp pins the numbering.
-  // hds-exhaustive
+  /// The zoo roster.  Every switch over it names each enumerator: the
+  /// compiler checks that (-Wswitch-enum under HDS_WERROR).  Values
+  /// appear in the results JSON (the "kind" gauge of the prefetchers
+  /// result block), so new engines are appended; tests/tuning_test.cpp
+  /// pins the numbering.
   enum Kind : uint8_t {
     Stride = 0,    ///< pc-indexed reference prediction table (Chen & Baer)
     Markov = 1,    ///< miss-digram correlation table (Joseph & Grunwald)

@@ -15,7 +15,6 @@ namespace {
 
 std::unique_ptr<Prefetcher> make(Prefetcher::Kind K, const StackConfig &Cfg,
                                  uint32_t AssignedTag) {
-  // hds-exhaustive (unqualified class-scope dispatch, lint rule E1)
   switch (K) {
   case Prefetcher::Stride:
     return std::make_unique<StridePrefetcher>(Cfg.StrideCfg, AssignedTag);

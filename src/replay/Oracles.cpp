@@ -8,12 +8,14 @@
 
 #include "analysis/FastAnalyzer.h"
 #include "analysis/PreciseAnalyzer.h"
+#include "analysis/SubpathAnalyzer.h"
 #include "dfsm/Matchers.h"
 #include "dfsm/PrefixDfsm.h"
 #include "sequitur/Grammar.h"
 #include "support/Table.h"
 
 #include <algorithm>
+#include <set>
 #include <unordered_set>
 
 using namespace hds;
@@ -287,6 +289,28 @@ hds::replay::checkDfsmOracle(const std::vector<uint32_t> &Trace,
 //===----------------------------------------------------------------------===//
 // Full suite
 //===----------------------------------------------------------------------===//
+
+AnalyzerAgreement hds::replay::compareSubpathWithPrecise(
+    const std::vector<uint32_t> &Trace,
+    const analysis::AnalysisConfig &Config) {
+  sequitur::Grammar G;
+  for (uint32_t Symbol : Trace)
+    G.append(Symbol);
+  std::set<std::vector<uint32_t>> Subpath, Precise;
+  for (const analysis::HotDataStream &S :
+       analysis::analyzeHotSubpaths(G.snapshot(), Config).Streams)
+    Subpath.insert(S.Symbols);
+  for (const analysis::HotDataStream &S :
+       analysis::analyzeHotStreamsPrecisely(Trace, Config).Streams)
+    Precise.insert(S.Symbols);
+
+  AnalyzerAgreement Agreement;
+  for (const std::vector<uint32_t> &S : Subpath)
+    Agreement.SubpathOnly += Precise.count(S) == 0;
+  for (const std::vector<uint32_t> &S : Precise)
+    Agreement.PreciseOnly += Subpath.count(S) == 0;
+  return Agreement;
+}
 
 OracleReport
 hds::replay::runOracleSuite(const std::vector<uint32_t> &Trace,

@@ -67,6 +67,22 @@ OracleReport checkDfsmOracle(const std::vector<uint32_t> &Trace,
                              const std::vector<std::vector<uint32_t>> &Streams,
                              uint32_t HeadLength);
 
+/// How far the grammar hot-subpath detector (analyzeHotSubpaths) and the
+/// exact detector agree on one trace, comparing their stream sets as
+/// sets of symbol sequences.  Report-only: the two count occurrences
+/// differently (subpath counts overlapping ones), so they are expected
+/// to disagree on some traces.
+struct AnalyzerAgreement {
+  uint64_t SubpathOnly = 0; ///< streams only the subpath detector reports
+  uint64_t PreciseOnly = 0; ///< streams only the exact detector reports
+
+  bool equal() const { return SubpathOnly == 0 && PreciseOnly == 0; }
+};
+
+AnalyzerAgreement compareSubpathWithPrecise(
+    const std::vector<uint32_t> &Trace,
+    const analysis::AnalysisConfig &Config);
+
 /// Runs all three oracles over \p Trace: the grammar and analyzer oracles
 /// directly, and the DFSM oracle against the hot streams the fast
 /// analyzer detected (falling back to nothing detected == nothing to

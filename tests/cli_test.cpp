@@ -53,11 +53,11 @@ TEST(OptionSet, EveryRegistrationKindParses) {
   bool Flag = false;
   std::string Str;
   std::vector<std::string> List;
-  std::string PairA, PairB;
+  std::string PairA, PairB, Operand;
   uint64_t U64 = 0;
   uint32_t U32 = 0;
   unsigned Uns = 0;
-  double Loose = 0.0, Positive = 0.0, NonNegative = -1.0;
+  double Positive = 0.0, NonNegative = -1.0;
   core::RunMode Mode = core::RunMode::Original;
 
   bool UsageCalled = false;
@@ -69,15 +69,15 @@ TEST(OptionSet, EveryRegistrationKindParses) {
       .u64("--u64", U64)
       .u32("--u32", U32)
       .uns("--uns", Uns)
-      .looseDouble("--loose", Loose)
       .positiveDouble("--positive", Positive)
       .nonNegativeDouble("--nonneg", NonNegative)
-      .runMode("--mode", Mode);
+      .runMode("--mode", Mode)
+      .operand(Operand);
 
   parseArgs(Set, {"--flag", "--str", "hello", "--list", "a", "--list", "b",
                   "--pair", "left", "right", "--u64", "18446744073709551615",
-                  "--u32", "4096", "--uns", "7", "--loose", "0.5",
-                  "--positive", "2.25", "--nonneg", "0", "--mode", "dynpref"});
+                  "--u32", "4096", "--uns", "7", "--positive", "2.25",
+                  "--nonneg", "0", "trace.txt", "--mode", "dynpref"});
 
   EXPECT_FALSE(UsageCalled);
   EXPECT_TRUE(Flag);
@@ -88,10 +88,10 @@ TEST(OptionSet, EveryRegistrationKindParses) {
   EXPECT_EQ(U64, 18446744073709551615ull);
   EXPECT_EQ(U32, 4096u);
   EXPECT_EQ(Uns, 7u);
-  EXPECT_DOUBLE_EQ(Loose, 0.5);
   EXPECT_DOUBLE_EQ(Positive, 2.25);
   EXPECT_DOUBLE_EQ(NonNegative, 0.0);
   EXPECT_EQ(Mode, core::RunMode::DynamicPrefetch);
+  EXPECT_EQ(Operand, "trace.txt");
 }
 
 TEST(OptionSet, UnknownOptionAndMissingOperandHitUsage) {
@@ -103,14 +103,17 @@ TEST(OptionSet, UnknownOptionAndMissingOperandHitUsage) {
 
   parseArgs(Set, {"--bogus"});
   EXPECT_EQ(UsageCalls, 1u);
+  // Without an operand() registration a bare argument is unknown too.
+  parseArgs(Set, {"trace.txt"});
+  EXPECT_EQ(UsageCalls, 2u);
   // The operand for --str runs off the end of argv.
   parseArgs(Set, {"--str"});
-  EXPECT_EQ(UsageCalls, 2u);
+  EXPECT_EQ(UsageCalls, 3u);
   // An unparsable run-mode token also routes through usage.
   core::RunMode Mode = core::RunMode::Original;
   Set.runMode("--mode", Mode);
   parseArgs(Set, {"--mode", "spicy"});
-  EXPECT_EQ(UsageCalls, 3u);
+  EXPECT_EQ(UsageCalls, 4u);
 }
 
 TEST(OptionSetDeathTest, StrictNumericOptionsExitWithLegacyMessages) {
@@ -124,9 +127,13 @@ TEST(OptionSetDeathTest, StrictNumericOptionsExitWithLegacyMessages) {
   EXPECT_EXIT(parseArgs(Set, {"--scale", "0"}),
               testing::ExitedWithCode(2),
               "error: invalid --scale '0' \\(need a finite number > 0\\)");
-  EXPECT_EXIT(parseArgs(Set, {"--scale", "1.5x"}),
-              testing::ExitedWithCode(2),
-              "error: invalid --scale '1.5x' \\(need a finite number > 0\\)");
+  // hds_run --scale once read these with atof: "-1" ran without end,
+  // and "abc" or "inf" printed "-nan cycles/access" and exited 0.
+  for (const char *Bad : {"1.5x", "-1", "abc", "inf", "nan", "1e400"})
+    EXPECT_EXIT(parseArgs(Set, {"--scale", Bad}), testing::ExitedWithCode(2),
+                "error: invalid --scale '" + regexQuote(Bad) +
+                    "' \\(need a finite number > 0\\)")
+        << Bad;
   EXPECT_EXIT(parseArgs(Set, {"--threshold", "-1"}),
               testing::ExitedWithCode(2),
               "error: invalid --threshold '-1' \\(need a number >= 0\\)");

