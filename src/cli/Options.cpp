@@ -147,6 +147,10 @@ void OptionSet::parse(int Argc, char **Argv) const {
       continue;
     }
     if (!Match || I + static_cast<int>(Match->Operands) >= Argc) {
+      if (!Match)
+        std::fprintf(stderr, "error: unknown option '%s'\n", Argv[I]);
+      else
+        std::fprintf(stderr, "error: %s needs an operand\n", Argv[I]);
       // The tools' usage callbacks exit; stop scanning anyway so a
       // callback that returns (tests) leaves the parse well defined.
       Usage();
@@ -178,10 +182,6 @@ void hds::cli::addPrefetcherFlags(OptionSet &Opts,
       Selection.set(K, true);
     });
   }
-}
-
-void hds::cli::addTunedFlag(OptionSet &Opts, bool &Tuned) {
-  Opts.flag(TunedFlag, Tuned);
 }
 
 std::string hds::cli::prefetcherFlagsUsage() {

@@ -6,19 +6,20 @@
 ///
 /// \file
 /// The one command-line vocabulary shared by hds_run, hds_matrix,
-/// hds_bench and hds_analyze.  Each tool declares its options against an
-/// OptionSet and calls parse(); the set owns matching, operand
-/// collection, and the numeric conversions, so a flag like --adaptive or
-/// --scale is defined (spelling, operand shape, validation, error text)
-/// in exactly one place and every tool parses it identically.
+/// hds_bench, hds_analyze and hds_fuzz.  Each tool declares its options
+/// against an OptionSet and calls parse(); the set owns matching,
+/// operand collection, and the numeric conversions, so a flag like
+/// --pair or --scale is defined (spelling, operand shape, validation,
+/// error text) in exactly one place and every tool parses it
+/// identically.
 ///
 /// Numeric options are strict: an integer operand must be plain decimal
 /// digits that fit the target (no sign, no trailing bytes, no overflow),
 /// and the strict double options reject trailing garbage and
 /// out-of-range values.  A bad operand prints "error: invalid --name
-/// '...' (...)" and exits 2.  An unknown option or missing operand calls
-/// the tool's usage callback, which prints and exits with the tool's
-/// historical status.
+/// '...' (...)" and exits 2.  An unknown option or missing operand prints
+/// an "error: ..." line that names it and then calls the tool's usage
+/// callback, which prints and exits with the tool's historical status.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -109,19 +110,14 @@ private:
   std::string *Operand = nullptr;
 };
 
-/// Registers the four hardware-prefetcher flags (--stride --markov
-/// --stream --pair), each enabling one Prefetcher::Kind in
+/// Registers the three hardware-prefetcher flags (--stride --markov
+/// --pair), each enabling one Prefetcher::Kind in
 /// \p Selection.  Flag spellings come from Prefetcher::kindToken, so
 /// the CLI can never drift from the zoo roster.
 void addPrefetcherFlags(OptionSet &Opts,
                         prefetch::PrefetcherSelection &Selection);
 
-/// The closed-loop degree/distance tuning flag (docs/tuning.md),
-/// defined here and nowhere else.
-inline constexpr const char *TunedFlag = "--adaptive";
-void addTunedFlag(OptionSet &Opts, bool &Tuned);
-
-/// " [--stride] [--markov] [--stream] [--pair]" — the usage
+/// " [--stride] [--markov] [--pair]" — the usage
 /// fragment for addPrefetcherFlags, generated from the roster.
 std::string prefetcherFlagsUsage();
 

@@ -22,7 +22,6 @@
 #include "memsim/Cache.h"
 #include "memsim/MemoryHierarchy.h"
 #include "prefetch/PrefetcherStack.h"
-#include "prefetch/TuningPolicy.h"
 #include "profiling/BurstyTracer.h"
 
 #include <cstdint>
@@ -188,14 +187,6 @@ struct OptimizerConfig {
   /// not qualify as hot data streams", §4.3); Markov is the hardware
   /// technique the paper calls "most similar" to its scheme (§5.1).
   prefetch::StackConfig Prefetchers;
-
-  /// Closed-loop per-stream degree/distance tuning (prefetch/
-  /// TuningPolicy.h): when enabled, one TuningPolicy per Runtime feeds
-  /// the per-tag classification counters back into both issuing paths —
-  /// the injected hot-stream prefetches and the hardware zoo — at every
-  /// profiling-epoch boundary.  Off by default: every path keeps its
-  /// static constants, byte for byte.
-  prefetch::TuningConfig Tuning;
 
   /// Static-scheme model (the comparison the paper leaves for future
   /// work): keep the *first* successful optimization installed forever —

@@ -69,22 +69,10 @@ void PrefetchEngine::firePrefetches(dfsm::StreamIndex StreamIdx,
                                     RunStats &Stats) {
   ++Stats.CompleteMatches;
   const InstalledStream &Stream = Streams.at(StreamIdx);
-  // Issue window over the tail: Degree bounds how many targets, Distance
-  // skips the match-adjacent ones (whose prefetches have the least lead
-  // time).  Without a tuner the window is [0, MaxPrefetchesPerMatch) —
-  // the paper's fixed sequence, byte for byte; with one it is the
-  // stream's closed-loop state (docs/tuning.md), including degree 0 =
-  // squelched.
-  uint64_t Degree = Config.MaxPrefetchesPerMatch;
-  uint64_t Distance = 0;
-  if (Tuner) {
-    Degree = Tuner->degree(
-        Stream.Tag, static_cast<uint32_t>(Config.MaxPrefetchesPerMatch));
-    Distance = Tuner->distance(Stream.Tag);
-  }
-  const uint64_t Tail = Stream.TailAddrs.size();
-  const uint64_t Count =
-      std::min<uint64_t>(Tail > Distance ? Tail - Distance : 0, Degree);
+  // The paper's fixed sequence: the first MaxPrefetchesPerMatch targets
+  // of the tail.
+  const uint64_t Count = std::min<uint64_t>(Stream.TailAddrs.size(),
+                                            Config.MaxPrefetchesPerMatch);
   switch (Config.Mode) {
   case RunMode::Original:
   case RunMode::ChecksOnly:
@@ -99,7 +87,7 @@ void PrefetchEngine::firePrefetches(dfsm::StreamIndex StreamIdx,
     // reference; same prefetch count as the real scheme would issue.
     const uint64_t Block = Hierarchy.l1().config().BlockBytes;
     for (uint64_t I = 1; I <= Count; ++I) {
-      Hierarchy.prefetchT0(MatchAddr + (Distance + I) * Block,
+      Hierarchy.prefetchT0(MatchAddr + I * Block,
                            /*ChargeIssueSlot=*/true, Stream.Tag);
       ++Stats.PrefetchesRequested;
     }
@@ -107,7 +95,7 @@ void PrefetchEngine::firePrefetches(dfsm::StreamIndex StreamIdx,
   }
   case RunMode::DynamicPrefetch:
     for (uint64_t I = 0; I < Count; ++I) {
-      Hierarchy.prefetchT0(Stream.TailAddrs[Distance + I],
+      Hierarchy.prefetchT0(Stream.TailAddrs[I],
                            /*ChargeIssueSlot=*/true, Stream.Tag);
       ++Stats.PrefetchesRequested;
     }

@@ -27,7 +27,6 @@
 #include "dfsm/CheckCodeGen.h"
 #include "memsim/MemoryHierarchy.h"
 #include "obs/PrefetchStats.h"
-#include "prefetch/TuningPolicy.h"
 #include "vulcan/Image.h"
 
 #include <cassert>
@@ -108,12 +107,6 @@ public:
     NextStreamTag = Base;
   }
 
-  /// Attaches (or detaches, with null) the closed-loop tuner.  With a
-  /// tuner, firePrefetches() issues each stream's tuned degree/distance
-  /// window of its tail instead of the fixed MaxPrefetchesPerMatch
-  /// prefix; without one, behavior is byte-identical to the fixed scheme.
-  void setTuner(prefetch::TuningPolicy *Policy) { Tuner = Policy; }
-
 private:
   /// Issues the prefetches for one completed stream.
   void firePrefetches(dfsm::StreamIndex StreamIdx, memsim::Addr MatchAddr,
@@ -142,7 +135,6 @@ private:
   dfsm::StateId State = 0;
   uint32_t NextStreamTag = 0;
   std::vector<obs::StreamPrefetchStats> History;
-  prefetch::TuningPolicy *Tuner = nullptr;
 };
 
 } // namespace core

@@ -57,14 +57,6 @@ Runtime::Runtime(const OptimizerConfig &Cfg)
     Hierarchy.setListener(Prefetchers.get());
     Engine.setStreamTagBase(Prefetchers->tagCount());
   }
-  if (Config.Tuning.Enabled) {
-    // One controller per Runtime feeds both issuing paths: the injected
-    // hot-stream prefetches and the hardware zoo (docs/tuning.md).
-    Tuner = std::make_unique<prefetch::TuningPolicy>(Config.Tuning);
-    Engine.setTuner(Tuner.get());
-    if (Prefetchers)
-      Prefetchers->setTuner(Tuner.get());
-  }
   // The run opens in the profiler's awake phase; the optimizer records
   // every later phase boundary.
   if (tracingEnabled(Config.Mode))
@@ -82,17 +74,6 @@ std::vector<obs::StreamPrefetchStats> Runtime::streamPrefetchStats() const {
   const std::vector<obs::PrefetchClassCounts> &Classes =
       Hierarchy.streamClasses();
   for (obs::StreamPrefetchStats &Row : Rows) {
-    // Tuning gauges: the controller's settled state, or the static
-    // constants (MaxPrefetchesPerMatch at distance 0) for fixed runs.
-    const auto Tag = static_cast<uint32_t>(Row.StreamTag);
-    Row.FinalDegree = Config.MaxPrefetchesPerMatch;
-    if (Tuner) {
-      Row.FinalDegree = Tuner->peekDegree(
-          Tag, static_cast<uint32_t>(Config.MaxPrefetchesPerMatch));
-      Row.FinalDistance = Tuner->distance(Tag);
-      if (const prefetch::TuningPolicy::StreamState *State = Tuner->peek(Tag))
-        Row.Squelches = State->Squelches;
-    }
     if (Row.StreamTag >= Classes.size())
       continue; // stream never produced a classification event
     const obs::PrefetchClassCounts &Counts =

@@ -53,7 +53,6 @@
 #include "core/RunStats.h"
 #include "memsim/MemoryHierarchy.h"
 #include "prefetch/PrefetcherStack.h"
-#include "prefetch/TuningPolicy.h"
 #include "obs/CycleAccount.h"
 #include "obs/PrefetchStats.h"
 #include "obs/Timeline.h"
@@ -218,8 +217,6 @@ public:
   /// the prefetchers, classification counts joined from the memory
   /// hierarchy's per-tag buckets).  Empty when no prefetcher is enabled.
   std::vector<obs::PrefetcherStats> prefetcherStats() const;
-  /// The closed-loop tuner, or nullptr when Config.Tuning is disabled.
-  prefetch::TuningPolicy *tuningPolicy() const { return Tuner.get(); }
   /// @}
 
   /// Installs (or, with nullptr, removes) the full-event observer.  Not
@@ -287,12 +284,6 @@ private:
       Prefetchers->onAccess(Site, Addr, Latency,
                             Latency > Config.Latency.L1HitCycles, Hierarchy);
 
-    // Closed-loop tuning epoch clock, also mode-independent: counted in
-    // demand accesses so epoch boundaries — and thus every adjustment —
-    // are a pure function of the observed stream (docs/tuning.md).
-    if (Tuner && Tuner->onDemandAccess())
-      Tuner->rollEpoch(Hierarchy.streamClasses());
-
     if (Config.Mode == RunMode::Original)
       return;
     accessInstrumented(Site, Addr);
@@ -328,7 +319,6 @@ private:
   obs::Timeline Timeline;
   DynamicOptimizer Optimizer;
   std::unique_ptr<prefetch::PrefetcherStack> Prefetchers;
-  std::unique_ptr<prefetch::TuningPolicy> Tuner;
   RuntimeObserver *Observer = nullptr;
   /// Access-event staging buffer (see RuntimeObserver::onAccessBatch).
   /// 256 events keeps the buffer inside L1 while leaving the per-access

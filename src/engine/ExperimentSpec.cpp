@@ -20,7 +20,6 @@ core::OptimizerConfig ExperimentSpec::materializeConfig() const {
   Config.Prefetchers.Enabled = Prefetchers;
   Config.PinFirstOptimization = Pin;
   Config.AdaptiveHibernation = Adaptive;
-  Config.Tuning.Enabled = Tuned;
   return Config;
 }
 
@@ -42,8 +41,6 @@ std::string ExperimentSpec::label() const {
     Label += "+pinned";
   if (Adaptive)
     Label += "+adaptive";
-  if (Tuned)
-    Label += "+tuned";
   return Label;
 }
 
@@ -71,27 +68,6 @@ std::vector<ExperimentSpec> hds::engine::defaultMatrix(double Scale) {
                            true);
       Specs.push_back(Spec);
     }
-  // Closed-loop tuning bars (appended so the cells above keep their
-  // positions): the software scheme's Dyn-pref with the controller on,
-  // plus the two zoo engines with a degree knob (docs/tuning.md).
-  for (const std::string &Name : workloads::allWorkloadNames()) {
-    ExperimentSpec Dyn;
-    Dyn.Workload = Name;
-    Dyn.Mode = core::RunMode::DynamicPrefetch;
-    Dyn.Scale = Scale;
-    Dyn.Tuned = true;
-    Specs.push_back(Dyn);
-    for (const prefetch::Prefetcher::Kind K :
-         {prefetch::Prefetcher::Stream, prefetch::Prefetcher::PairTable}) {
-      ExperimentSpec Spec;
-      Spec.Workload = Name;
-      Spec.Mode = core::RunMode::Original;
-      Spec.Scale = Scale;
-      Spec.Prefetchers.set(K, true);
-      Spec.Tuned = true;
-      Specs.push_back(Spec);
-    }
-  }
   return Specs;
 }
 
@@ -156,22 +132,9 @@ bool hds::engine::applyFilter(std::vector<ExperimentSpec> &Specs,
     Keep([&](const ExperimentSpec &S) { return S.Prefetchers.only(Kind); });
     return true;
   }
-  if (Key == "tuning") {
-    if (Value == "adaptive") {
-      Keep([&](const ExperimentSpec &S) { return S.Tuned; });
-      return true;
-    }
-    if (Value == "fixed") {
-      Keep([&](const ExperimentSpec &S) { return !S.Tuned; });
-      return true;
-    }
-    if (Error)
-      *Error = "unknown tuning '" + Value + "' (expected adaptive|fixed)";
-    return false;
-  }
   if (Error)
     *Error = "unknown filter key '" + Key +
-             "' (expected workload, mode, seed, prefetcher, or tuning)";
+             "' (expected workload, mode, seed, or prefetcher)";
   return false;
 }
 
@@ -189,6 +152,5 @@ bool hds::engine::applyFilters(std::vector<ExperimentSpec> &Specs,
 std::string hds::engine::filterHelp() {
   return "filters: workload=<name>  mode=<" + core::runModeTokenList() +
          ">  seed=<n>\n         prefetcher=<" +
-         prefetch::PrefetcherSelection::tokenList() +
-         ">  tuning=<adaptive|fixed>\n";
+         prefetch::PrefetcherSelection::tokenList() + ">\n";
 }

@@ -59,9 +59,6 @@ struct ExperimentSpec {
   bool Pin = false;
   /// Adaptive hibernation extension (§5.2).
   bool Adaptive = false;
-  /// Closed-loop degree/distance tuning (prefetch/TuningPolicy.h): the
-  /// "tuned" spec axis.  Orthogonal to Adaptive (hibernation).
-  bool Tuned = false;
 
   /// Materializes the OptimizerConfig this spec describes.
   core::OptimizerConfig materializeConfig() const;
@@ -75,33 +72,32 @@ struct ExperimentSpec {
 /// The default matrix at \p Scale: every workload (paper figure order) ×
 /// every RunMode — the cells behind Figures 11 and 12 plus their
 /// Original baselines — followed by one Original-mode cell per workload
-/// per hardware prefetcher (stride, markov, stream, pair), the
-/// Figure-12-style hardware comparison bars, followed by the closed-loop
-/// tuning cells (dynpref plus the tunable zoo engines, Tuned set).
+/// per hardware prefetcher (stride, markov, pair), the Figure-12-style
+/// hardware comparison bars.
 std::vector<ExperimentSpec> defaultMatrix(double Scale = 1.0);
 
 /// Narrows \p Specs in place with one "key=value" filter.  Supported
 /// keys: workload (name), mode (runModeToken vocabulary), seed
-/// (decimal), prefetcher (none or a kind token — cells whose only
-/// enabled prefetcher is the named one), and tuning (adaptive|fixed).
+/// (decimal), and prefetcher (none or a kind token — cells whose only
+/// enabled prefetcher is the named one).
 /// Returns false — leaving \p Specs untouched and setting \p Error when
 /// non-null — for an unknown key or unparseable value.
 bool applyFilter(std::vector<ExperimentSpec> &Specs,
                  const std::string &Filter, std::string *Error = nullptr);
 
 /// Applies every filter in \p Filters in turn.  On a bad filter returns
-/// false and leaves \p Specs untouched.  Cold: it runs once per tool
-/// invocation, and its placement keeps perfbench's host probe at the
-/// offset its references were taken at (docs/benchmarks.md, "Host-probe
-/// alignment").
-[[gnu::cold]] bool applyFilters(std::vector<ExperimentSpec> &Specs,
-                                const std::vector<std::string> &Filters,
-                                std::string *Error = nullptr);
+/// false and leaves \p Specs untouched.
+bool applyFilters(std::vector<ExperimentSpec> &Specs,
+                  const std::vector<std::string> &Filters,
+                  std::string *Error = nullptr);
 
 /// The filter vocabulary lines of a tool usage text, generated from the
-/// shared token definitions (core::allRunModes, Prefetcher::kindToken,
-/// the tuning axis) so CLI help never drifts from the parsers.
-std::string filterHelp();
+/// shared token definitions (core::allRunModes, Prefetcher::kindToken)
+/// so CLI help never drifts from the parsers.  Cold: it runs only when a
+/// tool prints its usage, and its placement keeps perfbench's host probe
+/// at the offset its references were taken at (docs/benchmarks.md,
+/// "Host-probe alignment").
+[[gnu::cold]] std::string filterHelp();
 
 } // namespace engine
 } // namespace hds

@@ -41,7 +41,7 @@ const RunResult *findBaseline(const std::vector<RunResult> &Results,
   for (const RunResult &Candidate : Results) {
     const ExperimentSpec &C = Candidate.Spec;
     if (Candidate.ok() && C.Mode == core::RunMode::Original &&
-        C.Prefetchers.none() && !C.Tuned && C.Workload == Spec.Workload &&
+        C.Prefetchers.none() && C.Workload == Spec.Workload &&
         C.Scale == Spec.Scale && C.Seed == Spec.Seed &&
         C.Iterations == Spec.Iterations)
       return &Candidate;
@@ -158,17 +158,14 @@ void emitResult(JsonBuilder &Json, const RunResult &Result,
   Json.fieldBool("markov", Spec.Prefetchers.has(prefetch::Prefetcher::Markov));
   Json.fieldBool("pin", Spec.Pin);
   Json.fieldBool("adaptive", Spec.Adaptive);
-  // Suffixed to stay clear of the "stream" metric id in the per-stream
-  // rows (identity fields and metric ids share one namespace in diffs).
-  Json.fieldBool("stream_pf",
-                 Spec.Prefetchers.has(prefetch::Prefetcher::Stream));
+  // The stream engine, the dueling selector and the tuner are gone, but
+  // perfbench/run.py still selects its reference cells by "stream_pf",
+  // "duel_pf" and "tuned" all false, so every cell keeps the three.
+  Json.fieldBool("stream_pf", false);
   Json.fieldBool("pair_pf",
                  Spec.Prefetchers.has(prefetch::Prefetcher::PairTable));
-  // The dueling selector is gone, but perfbench/run.py still selects its
-  // reference cells by "duel_pf" == false, so every cell keeps the field.
   Json.fieldBool("duel_pf", false);
-  // Appended (append-only schema growth): closed-loop tuning axis.
-  Json.fieldBool("tuned", Spec.Tuned);
+  Json.fieldBool("tuned", false);
   Json.fieldString("status", statusName(Result.State));
   if (!Result.Error.empty())
     Json.fieldString("error", Result.Error);

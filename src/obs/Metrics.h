@@ -16,8 +16,10 @@
 /// disagree on field names or order.
 ///
 /// Append-only contract: new metrics are appended at the end of their
-/// block's visit function, never reordered or removed, so result
-/// documents written before the change still diff against new ones.
+/// block's visit function, never reordered, and removed only together
+/// with what they measure, so result documents written before the
+/// change still diff against new ones (a removed metric shows as
+/// missing; docs/engine.md).
 /// MetricRegistryTest.HasEveryBlockInDocumentOrder (tests/obs_test.cpp)
 /// spells out every block's ids, so a reorder or removal fails tier 1.
 ///

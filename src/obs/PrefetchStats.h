@@ -71,13 +71,6 @@ struct StreamPrefetchStats {
   uint64_t Redundant = 0;
   uint64_t DroppedQueueFull = 0;
   uint64_t UnusedEvicted = 0;
-  /// Closed-loop tuning state at end of run (prefetch/TuningPolicy.h):
-  /// the degree/distance the controller settled on, and how many times
-  /// the stream was squelched to degree 0.  Fixed-sequence runs report
-  /// the static degree, distance 0, and no squelches.
-  uint64_t FinalDegree = 0;
-  uint64_t FinalDistance = 0;
-  uint64_t Squelches = 0;
 
   /// useful / issued — of what we issued, how much paid off.
   double accuracy() const {
@@ -128,18 +121,6 @@ void visitStreamPrefetchStatsMetrics(StreamPrefetchStatsT &&Stats,
   Visit(MetricDef{"unused_evicted", "prefetches",
                   "prefetched lines evicted from L1 before any use"},
         Stats.UnusedEvicted);
-  Visit(MetricDef{"final_degree", "prefetches",
-                  "prefetch degree at end of run (tuned or static)",
-                  MetricKind::Gauge},
-        Stats.FinalDegree);
-  Visit(MetricDef{"final_distance", "blocks",
-                  "prefetch distance at end of run (tuned; 0 when static)",
-                  MetricKind::Gauge},
-        Stats.FinalDistance);
-  Visit(MetricDef{"squelches", "count",
-                  "times the tuner squelched the stream to degree 0",
-                  MetricKind::Gauge},
-        Stats.Squelches);
 }
 
 /// One hardware prefetcher's identity plus its classification counters —
@@ -161,9 +142,6 @@ struct PrefetcherStats {
   uint64_t Redundant = 0;
   uint64_t DroppedQueueFull = 0;
   uint64_t UnusedEvicted = 0;
-  /// Degree at end of run: the closed-loop tuner's settled value, or the
-  /// engine's configured constant when tuning is off.
-  uint64_t FinalDegree = 0;
 };
 
 /// Stable metric enumeration (append-only; see obs/Metrics.h).
@@ -196,10 +174,6 @@ void visitPrefetcherStatsMetrics(PrefetcherStatsT &&Stats, Fn &&Visit) {
   Visit(MetricDef{"unused_evicted", "prefetches",
                   "prefetched lines evicted from L1 before any use"},
         Stats.UnusedEvicted);
-  Visit(MetricDef{"final_degree", "prefetches",
-                  "prefetch degree at end of run (tuned or static)",
-                  MetricKind::Gauge},
-        Stats.FinalDegree);
 }
 
 } // namespace obs

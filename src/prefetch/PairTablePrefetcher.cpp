@@ -95,9 +95,7 @@ void PairTablePrefetcher::onMiss(const AccessEvent &Event,
     train(LastMissBlock, Block);
   LastMissBlock = Block;
 
-  // Closed-loop tuned successor budget (the configured constant with no
-  // tuner attached).  A squelched budget of 0 issues nothing.
-  predict(Block, effectiveDegree(Config.Degree), BlockBytes, Hierarchy);
+  predict(Block, Config.Degree, BlockBytes, Hierarchy);
 }
 
 void PairTablePrefetcher::onFill(memsim::Addr BlockAddr,

@@ -88,8 +88,6 @@ public:
   void onFill(memsim::Addr BlockAddr,
               memsim::MemoryHierarchy &Hierarchy) override;
 
-  uint32_t configuredDegree() const override { return Config.Degree; }
-
   /// Occupied entries (tests: metadata stays within Sets * Ways).
   uint64_t occupiedEntries() const;
   /// Total table capacity in entries.

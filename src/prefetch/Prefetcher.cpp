@@ -15,8 +15,6 @@ const char *Prefetcher::kindToken(Kind K) {
     return "stride";
   case Markov:
     return "markov";
-  case Stream:
-    return "stream";
   case PairTable:
     return "pair";
   }
@@ -24,7 +22,7 @@ const char *Prefetcher::kindToken(Kind K) {
 }
 
 bool Prefetcher::parseKindToken(const std::string &Token, Kind &K) {
-  static const Kind All[] = {Stride, Markov, Stream, PairTable};
+  static const Kind All[] = {Stride, Markov, PairTable};
   for (Kind Candidate : All)
     if (Token == kindToken(Candidate)) {
       K = Candidate;

@@ -34,7 +34,6 @@
 #define HDS_PREFETCH_PREFETCHER_H
 
 #include "memsim/MemoryHierarchy.h"
-#include "prefetch/TuningPolicy.h"
 #include "vulcan/Image.h"
 
 #include <cstdint>
@@ -68,13 +67,12 @@ public:
   /// The zoo roster.  Every switch over it names each enumerator: the
   /// compiler checks that (-Wswitch-enum under HDS_WERROR).  Values
   /// appear in the results JSON (the "kind" gauge of the prefetchers
-  /// result block), so new engines are appended; tests/tuning_test.cpp
-  /// pins the numbering.
+  /// result block), so new engines are appended;
+  /// tests/prefetchers_test.cpp pins the numbering.
   enum Kind : uint8_t {
     Stride = 0,    ///< pc-indexed reference prediction table (Chen & Baer)
     Markov = 1,    ///< miss-digram correlation table (Joseph & Grunwald)
-    Stream = 2,    ///< confidence-counter stream detector (next-N-blocks)
-    PairTable = 3, ///< bounded temporal pair table (Pangloss / Triangel)
+    PairTable = 2, ///< bounded temporal pair table (Pangloss / Triangel)
   };
 
   Prefetcher(Kind KindIn, uint32_t TagIn) : WhichKind(KindIn), Tag(TagIn) {}
@@ -117,24 +115,6 @@ public:
     Issued = 0;
   }
 
-  /// Attaches (or detaches, with null) the closed-loop tuner.  Engines
-  /// with a degree knob consult it through effectiveDegree() /
-  /// tunedDistance(); with no tuner attached they keep their configured
-  /// constants, bit for bit.
-  void setTuner(TuningPolicy *Policy) { Tuner = Policy; }
-
-  /// The static degree this engine issues at without a tuner (1 for the
-  /// single-target engines); the fallback the tuner starts from and the
-  /// value the final_degree gauge reports for untuned runs.
-  virtual uint32_t configuredDegree() const { return 1; }
-
-  /// Degree for the final_degree report gauge: the tuned value once the
-  /// stream registered with the tuner, configuredDegree() otherwise.
-  uint64_t finalDegree() const {
-    return Tuner ? Tuner->peekDegree(Tag, configuredDegree())
-                 : configuredDegree();
-  }
-
   /// Training updates performed (table writes), for the stats row.
   uint64_t trains() const { return Trains; }
   /// Prefetches this object pushed through issue().
@@ -151,23 +131,11 @@ protected:
   /// Bumps the training counter (call once per table update).
   void countTrain() { ++Trains; }
 
-  /// Degree to issue at this trigger: the tuner's closed-loop value
-  /// (registering this engine's tag on first use) or \p FallbackDegree.
-  uint32_t effectiveDegree(uint32_t FallbackDegree) {
-    return Tuner ? Tuner->degree(Tag, FallbackDegree) : FallbackDegree;
-  }
-
-  /// Blocks/targets to skip ahead of the trigger point (0 untuned).
-  uint32_t tunedDistance() const {
-    return Tuner ? Tuner->distance(Tag) : 0;
-  }
-
 private:
   Kind WhichKind;
   uint32_t Tag;
   uint64_t Trains = 0;
   uint64_t Issued = 0;
-  TuningPolicy *Tuner = nullptr;
 };
 
 } // namespace prefetch

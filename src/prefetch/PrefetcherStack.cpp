@@ -20,8 +20,6 @@ std::unique_ptr<Prefetcher> make(Prefetcher::Kind K, const StackConfig &Cfg,
     return std::make_unique<StridePrefetcher>(Cfg.StrideCfg, AssignedTag);
   case Prefetcher::Markov:
     return std::make_unique<MarkovPrefetcher>(Cfg.MarkovCfg, AssignedTag);
-  case Prefetcher::Stream:
-    return std::make_unique<StreamPrefetcher>(Cfg.StreamCfg, AssignedTag);
   case Prefetcher::PairTable:
     return std::make_unique<PairTablePrefetcher>(Cfg.PairCfg, AssignedTag);
   }
@@ -46,11 +44,6 @@ void PrefetcherStack::onPrefetchFill(memsim::Addr BlockAddr,
   Engines[StreamTag]->onFill(BlockAddr, Hierarchy);
 }
 
-void PrefetcherStack::setTuner(TuningPolicy *Policy) {
-  for (const std::unique_ptr<Prefetcher> &P : Engines)
-    P->setTuner(Policy);
-}
-
 std::vector<obs::PrefetcherStats>
 PrefetcherStack::snapshotStats(const memsim::MemoryHierarchy &Hierarchy) const {
   const std::vector<obs::PrefetchClassCounts> &Buckets =
@@ -62,7 +55,6 @@ PrefetcherStack::snapshotStats(const memsim::MemoryHierarchy &Hierarchy) const {
     Row.Tag = P->tag();
     Row.Trains = P->trains();
     Row.Issued = P->issued();
-    Row.FinalDegree = P->finalDegree();
     if (P->tag() >= Buckets.size())
       continue; // tag never produced a classification event
     const obs::PrefetchClassCounts &B = Buckets[P->tag()];

@@ -23,7 +23,6 @@
 #include "prefetch/PairTablePrefetcher.h"
 #include "prefetch/Prefetcher.h"
 #include "prefetch/Selection.h"
-#include "prefetch/StreamPrefetcher.h"
 #include "prefetch/StridePrefetcher.h"
 
 #include <cstdint>
@@ -40,7 +39,6 @@ struct StackConfig {
 
   StridePrefetcherConfig StrideCfg;
   MarkovPrefetcherConfig MarkovCfg;
-  StreamPrefetcherConfig StreamCfg;
   PairTableConfig PairCfg;
 
   bool any() const { return Enabled.any(); }
@@ -72,9 +70,6 @@ public:
   /// routed to the engine owning the tag.
   void onPrefetchFill(memsim::Addr BlockAddr, uint32_t StreamTag,
                       memsim::MemoryHierarchy &Hierarchy) override;
-
-  /// Attaches the closed-loop tuner to every prefetcher; null detaches.
-  void setTuner(TuningPolicy *Policy);
 
   /// Per-prefetcher report rows with classification counters joined from
   /// the hierarchy's per-tag buckets.

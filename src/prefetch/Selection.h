@@ -6,11 +6,11 @@
 ///
 /// \file
 /// PrefetcherSelection: the value type naming which zoo prefetchers a
-/// run enables.  It replaces the parallel Stride/Markov/Stream/Pair
+/// run enables.  It replaces the parallel Stride/Markov/Pair
 /// booleans that used to be mirrored across ExperimentSpec,
 /// OptimizerConfig, and StackConfig with one bitset over
 /// Prefetcher::Kind and one canonical token round-trip ("none",
-/// "stride", "stream+pair", "stride+markov", ...) shared by CLI
+/// "stride", "markov+pair", "stride+markov", ...) shared by CLI
 /// flags, matrix filters, labels, and JSON identity fields.
 ///
 /// The token grammar is '+'-joined kind tokens in Kind enumeration
@@ -37,7 +37,7 @@ namespace prefetch {
 class PrefetcherSelection {
 public:
   /// Number of Prefetcher::Kind enumerators (append-only roster).
-  static constexpr unsigned NumKinds = 4;
+  static constexpr unsigned NumKinds = 3;
 
   constexpr PrefetcherSelection() = default;
 
@@ -62,7 +62,7 @@ public:
   /// Parses a canonical (or reordered) token into \p Out.  Returns false
   /// on an unknown kind token, an empty component, or a duplicate.
   static bool parseToken(const std::string &Token, PrefetcherSelection &Out);
-  /// "none|stride|markov|stream|pair" — the usage-text form of the
+  /// "none|stride|markov|pair" — the usage-text form of the
   /// per-kind vocabulary, generated from the roster.
   static std::string tokenList();
 

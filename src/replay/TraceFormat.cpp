@@ -170,15 +170,15 @@ std::string hds::replay::serializeTrace(const Trace &T) {
   Out.push_back(static_cast<char>(T.Meta.Mode));
   putVarint(Out, T.Meta.HeadLength);
   // The flags byte keeps the original per-kind bit layout (stride=1,
-  // markov=2, pin=4, stream=8, pair=16) so version-1 traces recorded
-  // before PrefetcherSelection existed read back unchanged.  Bit 32 was
-  // the removed dueling selector; the reader rejects it.
+  // markov=2, pin=4, pair=16) so version-1 traces recorded before
+  // PrefetcherSelection existed read back unchanged.  Bits 8 and 32 were
+  // the removed stream prefetcher and dueling selector; the reader
+  // rejects both.
   using prefetch::Prefetcher;
   const uint8_t Flags =
       (T.Meta.Prefetchers.has(Prefetcher::Stride) ? 1 : 0) |
       (T.Meta.Prefetchers.has(Prefetcher::Markov) ? 2 : 0) |
       (T.Meta.Pin ? 4 : 0) |
-      (T.Meta.Prefetchers.has(Prefetcher::Stream) ? 8 : 0) |
       (T.Meta.Prefetchers.has(Prefetcher::PairTable) ? 16 : 0);
   Out.push_back(static_cast<char>(Flags));
 
@@ -253,6 +253,9 @@ bool hds::replay::deserializeTrace(const std::string &Bytes, Trace &Out,
   const uint64_t Flags = In.takeVarint();
   if (In.failed())
     return fail(Error, "truncated trace meta");
+  if (Flags & 8)
+    return fail(Error, "trace enables the stream prefetcher (flag 8), "
+                       "which was removed");
   if (Flags & 32)
     return fail(Error, "trace enables the dueling selector (flag 32), "
                        "which was removed");
@@ -263,7 +266,6 @@ bool hds::replay::deserializeTrace(const std::string &Bytes, Trace &Out,
   Out.Meta.Prefetchers.set(Prefetcher::Stride, (Flags & 1) != 0);
   Out.Meta.Prefetchers.set(Prefetcher::Markov, (Flags & 2) != 0);
   Out.Meta.Pin = (Flags & 4) != 0;
-  Out.Meta.Prefetchers.set(Prefetcher::Stream, (Flags & 8) != 0);
   Out.Meta.Prefetchers.set(Prefetcher::PairTable, (Flags & 16) != 0);
 
   const uint64_t EventCount = In.takeVarint();

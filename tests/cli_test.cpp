@@ -5,9 +5,9 @@
 //===----------------------------------------------------------------------===//
 //
 // Covers every registration kind in cli::OptionSet (src/cli/Options.h)
-// plus the vocabulary helpers the tools share (prefetcher flags, the
-// --adaptive tuning flag, generated token lists), including the strict
-// error paths that exit the process.
+// plus the vocabulary helpers the tools share (prefetcher flags,
+// generated token lists), including the strict error paths that exit
+// the process.
 //
 //===----------------------------------------------------------------------===//
 
@@ -193,7 +193,7 @@ TEST(CliVocabulary, PrefetcherFlagsCoverTheRoster) {
   EXPECT_FALSE(Selection.has(prefetch::Prefetcher::Markov));
   EXPECT_EQ(Selection.token(), "stride+pair");
 
-  parseArgs(Set, {"--markov", "--stream"});
+  parseArgs(Set, {"--markov"});
   EXPECT_EQ(Selection.count(), prefetch::PrefetcherSelection::NumKinds);
 }
 
@@ -216,30 +216,20 @@ TEST(CliVocabularyDeathTest, RemovedDuelSpellingsAreUsageErrors) {
   std::string Error;
   EXPECT_FALSE(engine::applyFilters(Specs, {"prefetcher=duel"}, &Error));
   EXPECT_EQ(Error, "unknown prefetcher 'duel' (expected "
-                   "none|stride|markov|stream|pair)");
+                   "none|stride|markov|pair)");
   EXPECT_EQ(Specs.size(), Before);
 }
 
-TEST(CliVocabulary, TunedFlagIsDefinedOnce) {
-  EXPECT_STREQ(TunedFlag, "--adaptive");
-  bool Tuned = false;
-  OptionSet Set([] { FAIL() << "usage must not fire"; });
-  addTunedFlag(Set, Tuned);
-  parseArgs(Set, {"--adaptive"});
-  EXPECT_TRUE(Tuned);
-}
-
 TEST(CliVocabulary, UsageFragmentsComeFromSharedTokenLists) {
-  EXPECT_EQ(prefetcherFlagsUsage(),
-            " [--stride] [--markov] [--stream] [--pair]");
+  EXPECT_EQ(prefetcherFlagsUsage(), " [--stride] [--markov] [--pair]");
   EXPECT_EQ(core::runModeTokenList(),
             "original|base|prof|hds|nopref|seqpref|dynpref");
   // The filter help every tool prints must name the spec axes (the
   // usage-parity ctest greps tool output for the same strings).
   const std::string Help = engine::filterHelp();
-  EXPECT_NE(Help.find("prefetcher=<none|stride|markov|stream|pair>"),
+  EXPECT_NE(Help.find("prefetcher=<none|stride|markov|pair>"),
             std::string::npos);
-  EXPECT_NE(Help.find("tuning=<adaptive|fixed>"), std::string::npos);
+  EXPECT_EQ(Help.find("tuning="), std::string::npos);
   EXPECT_NE(Help.find("mode=<original|base|prof|hds|nopref|seqpref|dynpref>"),
             std::string::npos);
 }

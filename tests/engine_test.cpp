@@ -61,14 +61,11 @@ TEST(ExperimentSpec, FilterNarrowsTheMatrix) {
     EXPECT_EQ(Spec.Workload, "mcf");
 
   ASSERT_TRUE(applyFilter(Specs, "mode=dynpref"));
-  ASSERT_EQ(Specs.size(), 2u);
-  for (const ExperimentSpec &Spec : Specs)
-    EXPECT_EQ(Spec.Mode, core::RunMode::DynamicPrefetch);
-  EXPECT_NE(Specs[0].Tuned, Specs[1].Tuned);
-
-  ASSERT_TRUE(applyFilter(Specs, "tuning=fixed"));
   ASSERT_EQ(Specs.size(), 1u);
-  EXPECT_FALSE(Specs[0].Tuned);
+  EXPECT_EQ(Specs[0].Mode, core::RunMode::DynamicPrefetch);
+
+  ASSERT_TRUE(applyFilter(Specs, "prefetcher=none"));
+  ASSERT_EQ(Specs.size(), 1u);
 }
 
 TEST(ExperimentSpec, BadFilterReportsErrorAndLeavesSpecsAlone) {

@@ -188,11 +188,10 @@ TEST(MetricRegistryTest, HasEveryBlockInDocumentOrder) {
             "analysis"}},
           {"stream",
            {"stream", "install_cycle", "length", "issued", "useful", "late",
-            "redundant", "dropped_queue_full", "unused_evicted",
-            "final_degree", "final_distance", "squelches"}},
+            "redundant", "dropped_queue_full", "unused_evicted"}},
           {"prefetcher",
            {"kind", "tag", "trains", "issued", "useful", "late", "redundant",
-            "dropped_queue_full", "unused_evicted", "final_degree"}},
+            "dropped_queue_full", "unused_evicted"}},
           {"timing", {"wall_ns", "accesses_per_sec"}},
       };
   const std::vector<MetricBlock> &Registry = metricRegistry();

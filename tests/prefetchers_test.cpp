@@ -3,8 +3,8 @@
 // Part of the hds project (PLDI 2002 hot data stream prefetching repro).
 //
 // Tests for the pluggable prefetcher zoo (src/prefetch/): the stride,
-// Markov, stream, and pair-table engines, the runtime's prefetcher
-// stack, and the static-scheme pinning model.
+// Markov and pair-table engines, the selection value that names them,
+// the runtime's prefetcher stack, and the static-scheme pinning model.
 //
 //===----------------------------------------------------------------------===//
 
@@ -14,7 +14,7 @@
 #include "prefetch/MarkovPrefetcher.h"
 #include "prefetch/PairTablePrefetcher.h"
 #include "prefetch/PrefetcherStack.h"
-#include "prefetch/StreamPrefetcher.h"
+#include "prefetch/Selection.h"
 #include "prefetch/StridePrefetcher.h"
 #include "support/Rng.h"
 #include "testing/ReferenceMarkov.h"
@@ -58,6 +58,59 @@ public:
       ForwardTo->onFill(BlockAddr, Hierarchy);
   }
 };
+
+//===----------------------------------------------------------------------===//
+// PrefetcherSelection token round-trip
+//===----------------------------------------------------------------------===//
+
+TEST(PrefetcherSelection, TokenRoundTripIsCanonical) {
+  PrefetcherSelection Empty;
+  EXPECT_EQ(Empty.token(), "none");
+  EXPECT_TRUE(Empty.none());
+  EXPECT_EQ(Empty.count(), 0u);
+
+  PrefetcherSelection Sel;
+  Sel.set(Prefetcher::PairTable, true);
+  Sel.set(Prefetcher::Stride, true);
+  // Canonical printing follows Kind enumeration order regardless of the
+  // order the bits were set in.
+  EXPECT_EQ(Sel.token(), "stride+pair");
+  EXPECT_EQ(Sel.count(), 2u);
+  EXPECT_FALSE(Sel.only(Prefetcher::Stride));
+
+  for (const char *Token : {"none", "stride", "pair", "stride+pair",
+                            "markov+pair", "stride+markov+pair"}) {
+    PrefetcherSelection Parsed;
+    ASSERT_TRUE(PrefetcherSelection::parseToken(Token, Parsed)) << Token;
+    EXPECT_EQ(Parsed.token(), Token);
+  }
+
+  // Reordered tokens parse, but print canonically.
+  PrefetcherSelection Reordered;
+  ASSERT_TRUE(PrefetcherSelection::parseToken("pair+stride", Reordered));
+  EXPECT_EQ(Reordered, Sel);
+  EXPECT_EQ(Reordered.token(), "stride+pair");
+}
+
+TEST(PrefetcherSelection, ParseRejectsMalformedTokens) {
+  PrefetcherSelection Out;
+  for (const char *Bad :
+       {"", "bogus", "stride+", "+stride", "stride++markov",
+        "stride+stride", "none+stride", "duel", "stride+duel", "stream",
+        "stride+stream"})
+    EXPECT_FALSE(PrefetcherSelection::parseToken(Bad, Out)) << Bad;
+}
+
+TEST(PrefetcherSelection, TokenListMatchesTheRoster) {
+  EXPECT_EQ(PrefetcherSelection::tokenList(), "none|stride|markov|pair");
+  // The numbering is the "kind" gauge of every results document's
+  // prefetcher rows.  The stream engine (2) and the dueling selector
+  // (4) were removed; pair moved from 3 to 2.
+  EXPECT_EQ(Prefetcher::Stride, 0);
+  EXPECT_EQ(Prefetcher::Markov, 1);
+  EXPECT_EQ(Prefetcher::PairTable, 2);
+  EXPECT_EQ(PrefetcherSelection::NumKinds, 3u);
+}
 
 //===----------------------------------------------------------------------===//
 // StridePrefetcher
@@ -346,76 +399,6 @@ TEST(MarkovOracleTest, FlatTableMatchesReferenceInLockstep) {
 }
 
 //===----------------------------------------------------------------------===//
-// StreamPrefetcher
-//===----------------------------------------------------------------------===//
-
-class StreamTest : public ::testing::Test {
-protected:
-  memsim::MemoryHierarchy Memory;
-  StreamPrefetcher Prefetcher{StreamPrefetcherConfig(), /*AssignedTag=*/0};
-
-  void onMiss(memsim::Addr Addr) { Prefetcher.onMiss(miss(Addr), Memory); }
-};
-
-TEST_F(StreamTest, AscendingMissRunIssuesAhead) {
-  // Blocks are 32 bytes: three consecutive-block misses reach the
-  // confidence threshold (2) and run Degree (4) blocks ahead.
-  onMiss(0x1000);
-  onMiss(0x1020);
-  EXPECT_EQ(Prefetcher.issued(), 0u);
-  onMiss(0x1040);
-  EXPECT_EQ(Prefetcher.issued(), 4u);
-  Memory.tick(500);
-  EXPECT_TRUE(Memory.l1().contains(0x1060));
-  EXPECT_TRUE(Memory.l1().contains(0x10C0));
-}
-
-TEST_F(StreamTest, DescendingRunDetected) {
-  // Stays inside one 4 KiB region: the detector is region-indexed.
-  onMiss(0x2FC0);
-  onMiss(0x2FA0); // unit step against the default direction: flip
-  onMiss(0x2F80); // conforming: confident
-  EXPECT_EQ(Prefetcher.issued(), 4u);
-  Memory.tick(500);
-  EXPECT_TRUE(Memory.l1().contains(0x2F60));
-}
-
-TEST_F(StreamTest, UnrelatedJumpInsideRegionResetsDetection) {
-  onMiss(0x1000);
-  onMiss(0x1020);
-  onMiss(0x1040); // confident: issues 4
-  const uint64_t AfterRun = Prefetcher.issued();
-  onMiss(0x1800); // jump within the 4 KiB region: restart
-  onMiss(0x1820); // conforming again, but confidence only 1
-  EXPECT_EQ(Prefetcher.issued(), AfterRun);
-}
-
-TEST_F(StreamTest, ConfidenceAbove255Saturates) {
-  // A ceiling above 255 must saturate: 300 conforming misses in one
-  // 64 KiB region keep the detector confident on every one of them.
-  StreamPrefetcherConfig Config;
-  Config.RegionShift = 16;
-  Config.MaxConfidence = 300;
-  StreamPrefetcher Wide(Config, /*AssignedTag=*/0);
-  Wide.onMiss(miss(0x100000), Memory); // takes the region over
-  for (memsim::Addr I = 1; I <= 300; ++I) {
-    const uint64_t Before = Wide.issued();
-    Wide.onMiss(miss(0x100000 + I * 32), Memory);
-    ASSERT_EQ(Wide.issued() - Before, I < 2 ? 0u : 4u) << "miss " << I;
-  }
-}
-
-TEST_F(StreamTest, BlindToHitsAndPcs) {
-  // The detector trains on the miss stream only: plain accesses (the
-  // base-class onAccess hook) never touch the table.
-  Prefetcher.onAccess(hit(1, 0x1000), Memory);
-  Prefetcher.onAccess(hit(1, 0x1020), Memory);
-  Prefetcher.onAccess(hit(1, 0x1040), Memory);
-  EXPECT_EQ(Prefetcher.trains(), 0u);
-  EXPECT_EQ(Prefetcher.issued(), 0u);
-}
-
-//===----------------------------------------------------------------------===//
 // PairTablePrefetcher
 //===----------------------------------------------------------------------===//
 
@@ -619,7 +602,6 @@ TEST(RuntimePrefetcherTest, FullRosterComposesWithDenseTags) {
   Config.Mode = RunMode::Original;
   Config.Prefetchers.Enabled.set(Prefetcher::Stride, true);
   Config.Prefetchers.Enabled.set(Prefetcher::Markov, true);
-  Config.Prefetchers.Enabled.set(Prefetcher::Stream, true);
   Config.Prefetchers.Enabled.set(Prefetcher::PairTable, true);
   Runtime Rt(Config);
   const auto P = Rt.declareProcedure("scan");
@@ -630,14 +612,13 @@ TEST(RuntimePrefetcherTest, FullRosterComposesWithDenseTags) {
     Rt.load(S, Base + I * 32);
 
   ASSERT_NE(Rt.prefetcherStack(), nullptr);
-  EXPECT_EQ(Rt.prefetcherStack()->tagCount(), 4u);
+  EXPECT_EQ(Rt.prefetcherStack()->tagCount(), 3u);
   const std::vector<obs::PrefetcherStats> Rows = Rt.prefetcherStats();
-  ASSERT_EQ(Rows.size(), 4u);
+  ASSERT_EQ(Rows.size(), 3u);
   EXPECT_EQ(Rows[0].Kind, static_cast<uint64_t>(Prefetcher::Stride));
   EXPECT_EQ(Rows[1].Kind, static_cast<uint64_t>(Prefetcher::Markov));
-  EXPECT_EQ(Rows[2].Kind, static_cast<uint64_t>(Prefetcher::Stream));
-  EXPECT_EQ(Rows[3].Kind, static_cast<uint64_t>(Prefetcher::PairTable));
-  for (uint64_t Tag = 0; Tag < 4; ++Tag)
+  EXPECT_EQ(Rows[2].Kind, static_cast<uint64_t>(Prefetcher::PairTable));
+  for (uint64_t Tag = 0; Tag < 3; ++Tag)
     EXPECT_EQ(Rows[Tag].Tag, Tag);
   // The scan is stride territory: classification feedback joined from
   // the hierarchy lands on the stride row.

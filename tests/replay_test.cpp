@@ -115,16 +115,23 @@ TEST(TraceFormatTest, RejectsTruncationAtEveryPrefix) {
   }
 }
 
-TEST(TraceFormatTest, RejectsRetiredAndUnknownFlagBits) {
-  // Locate the meta flags byte as the one byte a Pin change flips.
+/// Offset of sampleTrace()'s meta flags byte: the one byte a Pin change
+/// flips.
+size_t sampleFlagsOffset() {
   rp::Trace Unpinned = sampleTrace();
   Unpinned.Meta.Pin = false;
   const std::string Bytes = rp::serializeTrace(sampleTrace());
   const std::string Other = rp::serializeTrace(Unpinned);
-  ASSERT_EQ(Bytes.size(), Other.size());
   size_t FlagsAt = 0;
-  while (FlagsAt < Bytes.size() && Bytes[FlagsAt] == Other[FlagsAt])
+  while (FlagsAt < Bytes.size() && FlagsAt < Other.size() &&
+         Bytes[FlagsAt] == Other[FlagsAt])
     ++FlagsAt;
+  return FlagsAt;
+}
+
+TEST(TraceFormatTest, RejectsRetiredAndUnknownFlagBits) {
+  const std::string Bytes = rp::serializeTrace(sampleTrace());
+  const size_t FlagsAt = sampleFlagsOffset();
   ASSERT_LT(FlagsAt, Bytes.size());
   ASSERT_EQ(Bytes[FlagsAt], 5); // stride (1) | pin (4)
 
@@ -139,6 +146,20 @@ TEST(TraceFormatTest, RejectsRetiredAndUnknownFlagBits) {
               std::string::npos)
         << Error;
   }
+}
+
+TEST(TraceFormatTest, RejectsTheRetiredStreamFlag) {
+  // Bit 8 enabled the stream prefetcher, which no longer exists: a trace
+  // that asks for it cannot be replayed faithfully, so it is refused.
+  std::string Bytes = rp::serializeTrace(sampleTrace());
+  const size_t FlagsAt = sampleFlagsOffset();
+  ASSERT_LT(FlagsAt, Bytes.size());
+  Bytes[FlagsAt] = static_cast<char>(5 | 8);
+  rp::Trace Back;
+  std::string Error;
+  EXPECT_FALSE(rp::deserializeTrace(Bytes, Back, &Error));
+  EXPECT_EQ(Error, "trace enables the stream prefetcher (flag 8), which "
+                   "was removed");
 }
 
 TEST(TraceFormatTest, RejectsTrailingGarbage) {

@@ -5,12 +5,13 @@
 //===----------------------------------------------------------------------===//
 //
 // Measures how fast the simulator itself runs: wall-clock accesses/sec
-// for every (workload, mode) cell, recorded alongside the simulated
-// cycle counts in one hds-matrix-results-v1 document with per-result
-// "timing" objects (the BENCH_matrix.json shape).  The simulated
-// metrics in that document stay byte-deterministic; only the timing
-// gauges vary run to run, and `hds_matrix --diff` ignores them unless
-// asked to gate with --wall-threshold.  See docs/benchmarks.md.
+// for every cell of the matrix (by default the 42 workload × mode cells
+// and the 18 stride, Markov and pair cells), recorded alongside the
+// simulated cycle counts in one hds-matrix-results-v1 document with
+// per-result "timing" objects (the BENCH_matrix.json shape).  The
+// simulated metrics in that document stay byte-deterministic; only the
+// timing gauges vary run to run, and `hds_matrix --diff` ignores them
+// unless asked to gate with --wall-threshold.  See docs/benchmarks.md.
 //
 // Cells run sequentially in one thread — this harness measures the
 // per-access hot path, and concurrent cells would contend for cache and
@@ -23,7 +24,7 @@
 //     --scale F             iteration scale factor (default 1.0)
 //     --repeat N            timed runs per cell, fastest kept (default 3)
 //     --filter key=value    narrow the matrix (workload=, mode=, seed=,
-//                           prefetcher=, tuning=)
+//                           prefetcher=)
 //     --out FILE            write results JSON here ('-' = stdout)
 //     --quiet               suppress the summary table
 //

@@ -22,6 +22,10 @@
 //     --heat <n>      analysis heat threshold H (default 8)
 //     --verbose       per-seed progress to stderr
 //
+// Numbers are strict (cli::OptionSet): a malformed, negative or
+// overflowing operand, --minlen above --maxlen, or a seed range past
+// 2^64 - 1 exits 2 with an "error:" line that names it.
+//
 // Exit status: 0 when every seed passes all oracles, 1 otherwise.  The
 // last line also reports on how many seeds the grammar hot-subpath
 // detector and the exact detector found the same stream set; that
@@ -29,13 +33,13 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "cli/Options.h"
 #include "replay/Oracles.h"
 #include "testing/TraceGen.h"
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <string>
 
 namespace {
 
@@ -57,30 +61,29 @@ struct Options {
 
 Options parseOptions(int Argc, char **Argv) {
   Options Opts;
-  for (int I = 1; I < Argc; ++I) {
-    const std::string Arg = Argv[I];
-    auto Next = [&]() -> const char * {
-      if (I + 1 >= Argc)
-        usage(Argv[0]);
-      return Argv[++I];
-    };
-    if (Arg == "--start")
-      Opts.Start = std::strtoull(Next(), nullptr, 10);
-    else if (Arg == "--seeds")
-      Opts.Seeds = std::strtoull(Next(), nullptr, 10);
-    else if (Arg == "--headlen")
-      Opts.HeadLength =
-          static_cast<uint32_t>(std::strtoul(Next(), nullptr, 10));
-    else if (Arg == "--minlen")
-      Opts.Analysis.MinLength = std::strtoull(Next(), nullptr, 10);
-    else if (Arg == "--maxlen")
-      Opts.Analysis.MaxLength = std::strtoull(Next(), nullptr, 10);
-    else if (Arg == "--heat")
-      Opts.Analysis.HeatThreshold = std::strtoull(Next(), nullptr, 10);
-    else if (Arg == "--verbose")
-      Opts.Verbose = true;
-    else
-      usage(Argv[0]);
+  const char *Binary = Argv[0];
+  hds::cli::OptionSet Set([Binary] { usage(Binary); });
+  Set.u64("--start", Opts.Start)
+      .u64("--seeds", Opts.Seeds)
+      .u32("--headlen", Opts.HeadLength)
+      .u64("--minlen", Opts.Analysis.MinLength)
+      .u64("--maxlen", Opts.Analysis.MaxLength)
+      .u64("--heat", Opts.Analysis.HeatThreshold)
+      .flag("--verbose", Opts.Verbose);
+  Set.parse(Argc, Argv);
+  if (Opts.Analysis.MinLength > Opts.Analysis.MaxLength) {
+    std::fprintf(stderr, "error: --minlen %llu is greater than --maxlen %llu\n",
+                 (unsigned long long)Opts.Analysis.MinLength,
+                 (unsigned long long)Opts.Analysis.MaxLength);
+    std::exit(2);
+  }
+  if (Opts.Seeds > UINT64_MAX - Opts.Start) {
+    std::fprintf(stderr,
+                 "error: --start %llu plus --seeds %llu passes the last "
+                 "seed, 2^64 - 1\n",
+                 (unsigned long long)Opts.Start,
+                 (unsigned long long)Opts.Seeds);
+    std::exit(2);
   }
   return Opts;
 }

@@ -54,7 +54,7 @@ using namespace hds;
 
 namespace {
 
-/// Most layout-seed variants --seeds may add: 84 cells x 1001 layouts is
+/// Most layout-seed variants --seeds may add: 60 cells x 1001 layouts is
 /// already far past any sweep worth running, and the bound keeps a typo
 /// from allocating specs until memory runs out.
 constexpr uint64_t MaxSeeds = 1000;

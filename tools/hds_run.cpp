@@ -16,10 +16,7 @@
 //     --headlen <n>         prefix match length (default 2)
 //     --stride              enable the hardware stride prefetcher
 //     --markov              enable the Markov correlation prefetcher
-//     --stream              enable the confidence-counter stream prefetcher
 //     --pair                enable the bounded temporal pair-table prefetcher
-//     --adaptive            closed-loop per-stream degree/distance tuning
-//                           (docs/tuning.md)
 //     --pin                 static-scheme model (pin first optimization)
 //     --verbose             per-cycle stream reports to stderr
 //     --compare             also run the original program and report %
@@ -70,7 +67,6 @@ struct Options {
   double Scale = 1.0;
   uint32_t HeadLength = 2;
   prefetch::PrefetcherSelection Prefetchers;
-  bool Tuned = false;
   bool Pin = false;
   bool Verbose = false;
   bool Compare = false;
@@ -96,13 +92,13 @@ struct Options {
       stderr,
       "usage: %s [--workload NAME] [--mode MODE] [--iterations N]\n"
       "          [--scale F] [--headlen N]%s\n"
-      "          [%s] [--pin] [--verbose] [--compare] [--report]\n"
+      "          [--pin] [--verbose] [--compare] [--report]\n"
       "          [--trace-events FILE]\n"
       "          [--dump-trace FILE] [--record FILE] [--replay FILE]\n"
       "modes: %s\n"
       "workloads: %s\n",
-      Binary, cli::prefetcherFlagsUsage().c_str(), cli::TunedFlag,
-      Modes.c_str(), Workloads.c_str());
+      Binary, cli::prefetcherFlagsUsage().c_str(), Modes.c_str(),
+      Workloads.c_str());
   std::exit(1);
 }
 
@@ -124,15 +120,14 @@ Options parseOptions(int Argc, char **Argv) {
       .str("--record", Opts.RecordTo)
       .str("--replay", Opts.ReplayFrom);
   cli::addPrefetcherFlags(Set, Opts.Prefetchers);
-  cli::addTunedFlag(Set, Opts.Tuned);
   Set.parse(Argc, Argv);
   return Opts;
 }
 
-/// " +stride +markov ... +pinned +tuned" — the report's mode-line
-/// suffix for the enabled features (legacy spelling and order).
+/// " +stride +markov ... +pinned" — the report's mode-line suffix for
+/// the enabled features (legacy spelling and order).
 std::string featureSuffix(const prefetch::PrefetcherSelection &Selection,
-                          bool Pin, bool Tuned) {
+                          bool Pin) {
   std::string Out;
   for (unsigned I = 0; I < prefetch::PrefetcherSelection::NumKinds; ++I) {
     const auto K = static_cast<prefetch::Prefetcher::Kind>(I);
@@ -143,8 +138,6 @@ std::string featureSuffix(const prefetch::PrefetcherSelection &Selection,
   }
   if (Pin)
     Out += " +pinned";
-  if (Tuned)
-    Out += " +tuned";
   return Out;
 }
 
@@ -376,7 +369,6 @@ uint64_t runConfigured(const Options &Opts, RunMode Mode, bool Report) {
   Config.Mode = Mode;
   Config.Dfsm.HeadLength = Opts.HeadLength;
   Config.Prefetchers.Enabled = Opts.Prefetchers;
-  Config.Tuning.Enabled = Opts.Tuned;
   Config.PinFirstOptimization = Opts.Pin;
   Config.VerboseAnalysis = Opts.Verbose;
 
@@ -460,7 +452,7 @@ uint64_t runConfigured(const Options &Opts, RunMode Mode, bool Report) {
   std::printf("workload:   %s (%llu iterations)\n", Opts.Workload.c_str(),
               (unsigned long long)Iterations);
   std::printf("mode:       %s%s\n", runModeName(Mode),
-              featureSuffix(Opts.Prefetchers, Opts.Pin, Opts.Tuned).c_str());
+              featureSuffix(Opts.Prefetchers, Opts.Pin).c_str());
   std::printf("cycles:     %llu\n", (unsigned long long)Rt.cycles());
   std::printf("accesses:   %llu (%.2f cycles/access)\n",
               (unsigned long long)Stats.TotalAccesses,
@@ -551,9 +543,7 @@ int replayRecordedTrace(const std::string &Path) {
   std::printf("workload:   %s (%llu iterations, recorded)\n",
               T.Meta.Workload.c_str(), (unsigned long long)T.Meta.Iterations);
   std::printf("mode:       %s%s\n", runModeName(T.Meta.Mode),
-              featureSuffix(T.Meta.Prefetchers, T.Meta.Pin,
-                            /*Tuned=*/false)
-                  .c_str());
+              featureSuffix(T.Meta.Prefetchers, T.Meta.Pin).c_str());
   std::printf("events:     %zu replayed\n", T.Events.size());
   std::printf("cycles:     %llu recorded, %llu replayed\n",
               (unsigned long long)T.Summary.Cycles,
