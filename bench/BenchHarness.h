@@ -5,18 +5,17 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Shared plumbing for the benches that regenerate the paper's figures
-/// and tables, now a thin adapter over the experiment engine
-/// (src/engine): one benchmark under one RunMode is one ExperimentSpec,
-/// run through engine::runExperiment.
+/// Shared plumbing for the benches that are not hds_matrix views, a thin
+/// adapter over the experiment engine (src/engine): one benchmark under
+/// one RunMode is one ExperimentSpec, run through engine::runExperiment.
 /// "% overhead" follows the paper's Figures 11/12: normalized to the
 /// execution time of the original unoptimized program; positive values
 /// indicate performance degradation and negative values indicate
-/// speedup.
+/// speedup.  The views (tools/MatrixViews.cpp) use overheadPercent too.
 ///
 /// All benches accept an optional scale factor as argv[1] (default 1.0)
 /// multiplying each benchmark's iteration count — useful for quick local
-/// runs (e.g. `fig12_prefetching 0.25`).
+/// runs (e.g. `ablation_markov 0.25`).
 ///
 //===----------------------------------------------------------------------===//
 

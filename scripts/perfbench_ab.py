@@ -19,14 +19,25 @@ distance.  It also compares HostProbe::run's address modulo 64 in
 the two binaries: when they differ, every timed figure is biased (see
 docs/benchmarks.md, "Host-probe alignment").  Exits 1 when a run fails or
 reports "correct": false.
+
+Each run starts in its own process group.  On SIGINT or SIGTERM the script
+sends SIGTERM to the running side's whole group (run.py, its cmake build
+and hds_perfbench) and reaps every descendant before it exits, so no child
+outlives it.  The script is its descendants' subreaper (Linux), so a
+grandchild orphaned by run.py's death is reaped here too.
 """
 
 import argparse
+import ctypes
 import json
 import os
+import signal
 import statistics
 import subprocess
 import sys
+
+# The side running now, if any: the process group stop() terminates.
+running = []
 
 
 def fail(message):
@@ -34,17 +45,37 @@ def fail(message):
     sys.exit(1)
 
 
+def stop(signum, frame):
+    for child in running:
+        try:
+            os.killpg(child.pid, signal.SIGTERM)
+        except ProcessLookupError:
+            pass
+    while True:
+        try:
+            os.waitpid(-1, 0)
+        except ChildProcessError:
+            break
+    sys.exit(128 + signum)
+
+
 def run_once(tree, workload, seed, seconds, trace):
     env = dict(os.environ, CARGO_TARGET_DIR=os.path.join(tree, ".bench_build"))
-    done = subprocess.run(
+    child = subprocess.Popen(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds),
          "--trace", str(trace)],
-        cwd=tree, env=env, stdout=subprocess.PIPE, text=True)
-    if done.returncode != 0:
+        cwd=tree, env=env, stdout=subprocess.PIPE, text=True,
+        start_new_session=True)
+    running.append(child)
+    try:
+        stdout, _ = child.communicate()
+    finally:
+        running.remove(child)
+    if child.returncode != 0:
         fail("%s: run of %s seed %d exited %d"
-             % (tree, workload, seed, done.returncode))
-    result = json.loads(done.stdout.strip().splitlines()[-1])
+             % (tree, workload, seed, child.returncode))
+    result = json.loads(stdout.strip().splitlines()[-1])
     if not result.get("correct"):
         fail("%s: %s seed %d is not correct" % (tree, workload, seed))
     return {name: m["value"] for name, m in result["metrics"].items()}
@@ -88,6 +119,10 @@ def main():
     parser.add_argument("--metrics", default=None,
                         help="comma-separated; default: the end-to-end ones")
     args = parser.parse_args()
+    PR_SET_CHILD_SUBREAPER = 36
+    ctypes.CDLL(None).prctl(PR_SET_CHILD_SUBREAPER, 1, 0, 0, 0)
+    signal.signal(signal.SIGINT, stop)
+    signal.signal(signal.SIGTERM, stop)
     trees = (os.path.abspath(args.parent), os.path.abspath(args.change))
 
     with open(os.path.join(trees[1], "BENCHMARK.json")) as f:

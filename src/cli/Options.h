@@ -6,7 +6,7 @@
 ///
 /// \file
 /// The one command-line vocabulary shared by hds_run, hds_matrix,
-/// hds_bench, hds_analyze and hds_fuzz.  Each tool declares its options
+/// hds_analyze and hds_fuzz.  Each tool declares its options
 /// against an OptionSet and calls parse(); the set owns matching,
 /// operand collection, and the numeric conversions, so a flag like
 /// --pair or --scale is defined (spelling, operand shape, validation,
@@ -70,7 +70,7 @@ public:
   /// @}
 
   /// As uns(), then "error: --name must be >= 1" and exit 2 on zero
-  /// (hds_bench --repeat).
+  /// (hds_matrix --repeat).
   OptionSet &unsAtLeastOne(const char *Name, unsigned &Target);
 
   /// Strict parse; "error: invalid --name '...' (need a finite number

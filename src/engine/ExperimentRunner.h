@@ -37,7 +37,7 @@ namespace engine {
 
 /// Wall-clock measurement a tool attaches to a result after running it.
 /// src/ is clock-free (lint rule D1), so runExperiment always leaves this
-/// zeroed; only callers that time the run themselves (tools/hds_bench)
+/// zeroed; only callers that time the run themselves (hds_matrix --repeat)
 /// fill it in.  Zero means "not measured" and serializers omit nothing —
 /// the fields only reach the JSON when the caller opts in via
 /// TimingInfo::IncludePerResult (engine/ResultsJson.h).

@@ -39,7 +39,7 @@ struct DiffOptions {
   /// Relative change (percent) a numeric metric must exceed to count as
   /// a difference.  0 = any change counts (exact comparison).
   double ThresholdPct = 0.0;
-  /// Wall-clock gate for per-result "timing" objects (tools/hds_bench).
+  /// Wall-clock gate for per-result "timing" objects (hds_matrix --repeat).
   /// Negative (the default) ignores every timing.* path — wall clock is
   /// machine noise, and a bench file must diff clean against a plain
   /// matrix file.  Non-negative compares timing.accesses_per_sec only: a

@@ -39,7 +39,7 @@ struct TimingInfo {
   uint64_t WallMillis = 0;
   unsigned Jobs = 0;
   /// Emit each ok result's RunResult::Timing as a per-result "timing"
-  /// object (the BENCH_matrix.json shape written by tools/hds_bench).
+  /// object (the BENCH_matrix.json shape written by hds_matrix --repeat).
   /// Off by default so plain matrix output stays byte-deterministic.
   bool IncludePerResult = false;
 };

@@ -767,7 +767,7 @@ TEST(AdaptiveHibernationTest, ComparesReferencesNotTheirPerCycleIds) {
 
 TEST(AdaptiveHibernationTest, PinsTheAblationTrails) {
   // No matrix cell runs adaptive hibernation, so this pins its exact
-  // outcome on the two runs of bench/ablation_adaptive (scale 0.2) whose
+  // outcome on the two runs of hds_matrix --view adaptive (scale 0.2) whose
   // hibernation stretches: the cycles, and the hibernation length chosen
   // after each optimization cycle.
   struct Pin {
