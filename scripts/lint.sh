@@ -30,7 +30,7 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 cmake -B build -S . >/dev/null
 cmake --build build -j"$JOBS" --target hds_lint
 echo "== hds_lint =="
-./build/tools/hds_lint --stale-suppressions src tools bench tests
+./build/tools/hds_lint src tools bench tests
 echo "hds_lint: clean"
 
 if [ "$LINT_ONLY" = 1 ]; then

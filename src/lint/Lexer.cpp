@@ -302,7 +302,6 @@ LexedFile lexSource(std::string DisplayPath, std::string_view Source) {
     }
   }
 
-  File.LineCount = C.line();
   return File;
 }
 

@@ -67,7 +67,6 @@ struct LexedFile {
   std::vector<Token> Toks;
   std::vector<Directive> Directives;
   std::vector<Comment> Comments;
-  unsigned LineCount = 0;
 };
 
 /// Lexes \p Source, attributing findings to \p DisplayPath.

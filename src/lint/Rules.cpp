@@ -13,7 +13,6 @@
 #include <cctype>
 #include <map>
 #include <set>
-#include <string_view>
 
 namespace hds {
 namespace lint {
@@ -24,14 +23,13 @@ namespace {
 // Suppressions
 //===----------------------------------------------------------------------===//
 
-/// One parsed suppression note.  Usage is tracked so --stale-suppressions
-/// can report notes whose rule no longer fires where they point.
+/// One parsed suppression note.  Usage is tracked so STALE can report
+/// notes whose rule no longer fires where they point.
 struct SuppressionNote {
   std::string Tag;
   unsigned CommentLine = 0; ///< where the note itself lives
   unsigned Begin = 0;       ///< first line it covers
   unsigned End = 0;         ///< last line it covers (inclusive)
-  bool FileWide = false;
   bool Used = false;
 };
 
@@ -103,21 +101,13 @@ Suppressions collectSuppressions(const LexedFile &File,
                                  std::vector<Finding> &Sup) {
   Suppressions S;
   for (const Comment &Note : File.Comments) {
-    size_t FilePos = Note.Text.find("hds-lint-file:");
-    size_t LinePos = Note.Text.find("hds-lint:");
+    size_t Pos = Note.Text.find("hds-lint:");
+    if (Pos == std::string::npos)
+      continue;
     std::set<std::string> Tags;
-    if (FilePos != std::string::npos) {
-      parseSuppressionList(Note.Text, FilePos + 14, Note, File.Path, Tags,
-                           Sup);
-      for (const std::string &Tag : Tags)
-        S.Notes.push_back({Tag, Note.Line, 0, 0, true, false});
-    } else if (LinePos != std::string::npos) {
-      parseSuppressionList(Note.Text, LinePos + 9, Note, File.Path, Tags,
-                           Sup);
-      for (const std::string &Tag : Tags)
-        S.Notes.push_back(
-            {Tag, Note.Line, Note.Line, Note.EndLine + 1, false, false});
-    }
+    parseSuppressionList(Note.Text, Pos + 9, Note, File.Path, Tags, Sup);
+    for (const std::string &Tag : Tags)
+      S.Notes.push_back({Tag, Note.Line, Note.Line, Note.EndLine + 1, false});
   }
   return S;
 }
@@ -126,7 +116,7 @@ Suppressions collectSuppressions(const LexedFile &File,
 bool trySuppress(Suppressions &S, const std::string &Tag, unsigned Line) {
   bool Hit = false;
   for (SuppressionNote &N : S.Notes)
-    if (N.Tag == Tag && (N.FileWide || (Line >= N.Begin && Line <= N.End))) {
+    if (N.Tag == Tag && Line >= N.Begin && Line <= N.End) {
       N.Used = true;
       Hit = true;
     }
@@ -446,299 +436,6 @@ void checkD3(const LexedFile &File, std::vector<Finding> &Out) {
   }
 }
 
-//===----------------------------------------------------------------------===//
-// D4: raw allocation outside designated allocator files
-//===----------------------------------------------------------------------===//
-
-void checkD4(const LexedFile &File, std::vector<Finding> &Out) {
-  if (!inTree(File.Path, "src"))
-    return;
-  static const char *AllocCalls[] = {"malloc",       "calloc", "realloc",
-                                     "free",         "strdup", "aligned_alloc",
-                                     "posix_memalign"};
-  const Toks &T = File.Toks;
-  for (size_t I = 0; I < T.size(); ++I) {
-    if (T[I].K != Token::Ident)
-      continue;
-    bool PrevIsOperator = I > 0 && isIdent(T, I - 1, "operator");
-    if (T[I].Text == "new" && !PrevIsOperator) {
-      Out.push_back({"D4", File.Path, T[I].Line,
-                     "raw `new` outside a designated allocator file",
-                     "use std::make_unique / containers, or mark the file "
-                     "with `// hds-lint-file: alloc-ok(<why>)` if it is an "
-                     "intrusive-structure allocator by design"});
-    } else if (T[I].Text == "delete" && !PrevIsOperator &&
-               !(I > 0 && isPunct(T, I - 1, "="))) {
-      Out.push_back({"D4", File.Path, T[I].Line,
-                     "raw `delete` outside a designated allocator file",
-                     "use std::unique_ptr ownership, or mark the file with "
-                     "`// hds-lint-file: alloc-ok(<why>)`"});
-    } else {
-      for (const char *Name : AllocCalls)
-        if (isFreeCall(T, I, Name))
-          Out.push_back({"D4", File.Path, T[I].Line,
-                         "C allocation call '" + T[I].Text +
-                             "' outside a designated allocator file",
-                         "use RAII containers, or mark the file with "
-                         "`// hds-lint-file: alloc-ok(<why>)`"});
-  }
-  }
-}
-
-//===----------------------------------------------------------------------===//
-// H1: header hygiene
-//===----------------------------------------------------------------------===//
-
-/// Canonical include-guard name: HDS_ + path components from the nearest
-/// top-level tree (dropping a leading "src"), upper-cased, with non-alnum
-/// mapped to '_': src/core/RunStats.h -> HDS_CORE_RUNSTATS_H.
-std::string canonicalGuard(const std::string &Path) {
-  static const char *Roots[] = {"src", "tools", "bench", "tests", "examples"};
-  // Split the path into components.
-  std::vector<std::string> Parts;
-  std::string Cur;
-  for (char C : Path) {
-    if (C == '/') {
-      if (!Cur.empty())
-        Parts.push_back(Cur);
-      Cur.clear();
-    } else {
-      Cur.push_back(C);
-    }
-  }
-  if (!Cur.empty())
-    Parts.push_back(Cur);
-
-  size_t Begin = 0;
-  for (size_t I = Parts.size(); I > 0; --I)
-    for (const char *Root : Roots)
-      if (Parts[I - 1] == Root) {
-        Begin = Parts[I - 1] == std::string("src") ? I : I - 1;
-        goto found;
-      }
-found:
-  std::string Guard = "HDS";
-  for (size_t I = Begin; I < Parts.size(); ++I) {
-    Guard += '_';
-    for (char C : Parts[I])
-      Guard += std::isalnum(static_cast<unsigned char>(C))
-                   ? static_cast<char>(
-                         std::toupper(static_cast<unsigned char>(C)))
-                   : '_';
-  }
-  return Guard;
-}
-
-void checkH1(const LexedFile &File, std::vector<Finding> &Out) {
-  if (!isHeaderPath(File.Path))
-    return;
-
-  // Guard structure.
-  bool HasPragmaOnce = false;
-  for (const Directive &D : File.Directives)
-    if (startsWith(D.Text, "pragma") &&
-        D.Text.find("once") != std::string::npos)
-      HasPragmaOnce = true;
-
-  if (!HasPragmaOnce) {
-    if (File.Directives.empty() ||
-        !startsWith(File.Directives.front().Text, "ifndef")) {
-      Out.push_back({"H1", File.Path, 1,
-                     "header has no include guard (or the guard is not the "
-                     "first preprocessor directive)",
-                     "open with `#ifndef " + canonicalGuard(File.Path) +
-                         "` / `#define ...` and close with `#endif`"});
-    } else {
-      const std::string &IfLine = File.Directives.front().Text;
-      std::string Guard = IfLine.substr(6);
-      size_t B = Guard.find_first_not_of(" \t");
-      Guard = B == std::string::npos ? std::string() : Guard.substr(B);
-      size_t E = Guard.find_first_of(" \t");
-      if (E != std::string::npos)
-        Guard = Guard.substr(0, E);
-      std::string Expected = canonicalGuard(File.Path);
-      if (Guard != Expected)
-        Out.push_back({"H1", File.Path, File.Directives.front().Line,
-                       "include guard '" + Guard +
-                           "' does not match the canonical name",
-                       "rename the guard to '" + Expected + "'"});
-      if (File.Directives.size() < 2 ||
-          !startsWith(File.Directives[1].Text, "define ") ||
-          File.Directives[1].Text.find(Guard) == std::string::npos)
-        Out.push_back({"H1", File.Path, File.Directives.front().Line,
-                       "include guard '" + Guard +
-                           "' is not #defined immediately after #ifndef",
-                       "pair `#ifndef " + Guard + "` with `#define " +
-                           Guard + "`"});
-    }
-  }
-}
-
-//===----------------------------------------------------------------------===//
-// C1: cycle accounting must route through the accounting API
-//===----------------------------------------------------------------------===//
-
-/// What the type-based half of C1 discovered about the accounting class:
-/// the file defining `class CycleAccount` and its member field names.
-/// When no defining file is in the linted set, the type net is inert and
-/// only the legacy name net applies.
-struct CycleAccountInfo {
-  std::string DefiningFile;
-  std::set<std::string> Fields;
-};
-
-/// Finds `class CycleAccount { ... }` in the linted set and collects its
-/// member fields: identifiers at class-body depth declared as
-/// `<type> Name =`, `<type> Name[`, or `<type> Name;`.  Locals inside
-/// member function bodies sit at deeper brace depth and never match.
-CycleAccountInfo findCycleAccount(const std::vector<LexedFile> &Files) {
-  CycleAccountInfo Info;
-  for (const LexedFile &File : Files) {
-    const Toks &T = File.Toks;
-    for (size_t I = 0; I + 2 < T.size(); ++I) {
-      if (!isIdent(T, I, "class") || !isIdent(T, I + 1, "CycleAccount") ||
-          !isPunct(T, I + 2, "{"))
-        continue;
-      Info.DefiningFile = File.Path;
-      int Depth = 1;
-      for (size_t J = I + 3; J < T.size() && Depth > 0; ++J) {
-        if (T[J].K == Token::Punct && T[J].Text == "{")
-          ++Depth;
-        else if (T[J].K == Token::Punct && T[J].Text == "}")
-          --Depth;
-        else if (Depth == 1 && T[J].K == Token::Ident &&
-                 J > 0 && T[J - 1].K == Token::Ident &&
-                 (isPunct(T, J + 1, "=") || isPunct(T, J + 1, "[") ||
-                  isPunct(T, J + 1, ";")))
-          Info.Fields.insert(T[J].Text);
-      }
-      return Info;
-    }
-  }
-  return Info;
-}
-
-void checkC1(const LexedFile &File, const CycleAccountInfo &Account,
-             std::vector<Finding> &Out) {
-  if (!inTree(File.Path, "src/memsim") && !inTree(File.Path, "src/core") &&
-      !inTree(File.Path, "src/vulcan") && !inTree(File.Path, "src/obs"))
-    return;
-  // The defining file is the designated accounting primitive: mutating
-  // its own fields there is the whole point (CycleAccount::charge).
-  const bool IsDefiningFile = File.Path == Account.DefiningFile;
-  const Toks &T = File.Toks;
-  for (size_t I = 0; I < T.size(); ++I) {
-    if (T[I].K != Token::Ident)
-      continue;
-    const std::string &Name = T[I].Text;
-    const bool LegacyCounter =
-        Name == "Now" || (Name.size() > 6 && endsWith(Name, "Cycles"));
-    const bool AccountField = !IsDefiningFile && Account.Fields.count(Name);
-    if (!LegacyCounter && !AccountField)
-      continue;
-    // Element mutations count too: skip a balanced subscript so
-    // `Phases[P] += N` is seen as a mutation of Phases.
-    size_t After = I + 1;
-    if (isPunct(T, After, "[")) {
-      int Depth = 1;
-      for (++After; After < T.size() && Depth > 0; ++After) {
-        if (T[After].K == Token::Punct && T[After].Text == "[")
-          ++Depth;
-        else if (T[After].K == Token::Punct && T[After].Text == "]")
-          --Depth;
-      }
-    }
-    bool Mutates =
-        isPunct(T, After, "+=") || isPunct(T, After, "-=") ||
-        isPunct(T, After, "++") || isPunct(T, After, "--") ||
-        (I > 0 && (isPunct(T, I - 1, "++") || isPunct(T, I - 1, "--")));
-    if (Mutates)
-      Out.push_back(
-          {"C1", File.Path, T[I].Line,
-           "ad-hoc arithmetic on cycle counter '" + Name +
-               "' bypasses the cycle-accounting API",
-           "route the charge through obs::CycleAccount::charge() (via "
-           "MemoryHierarchy::tick() with a CyclePhase) so the clock, the "
-           "phase attribution, and replay fidelity stay consistent; only "
-           "the CycleAccount definition itself may touch its fields"});
-  }
-}
-
-//===----------------------------------------------------------------------===//
-// D5: cycle / heat accounting must stay in integer arithmetic
-//===----------------------------------------------------------------------===//
-
-/// Names the simulator treats as cycle or heat accumulators.  Deliberately
-/// narrow: configuration ratios like HeatTraceFraction or thresholds like
-/// HeatThreshold do not match.
-bool isAccountingCounterName(const std::string &Name) {
-  return Name == "Now" || Name == "Heat" ||
-         (Name.size() > 6 && endsWith(Name, "Cycles")) ||
-         (Name.size() > 4 && endsWith(Name, "Heat"));
-}
-
-/// True for pp-number text that denotes a floating literal (has a decimal
-/// point, an exponent, or an f suffix); hex literals never match.
-bool isFloatLiteral(const std::string &Text) {
-  if (Text.size() > 1 && Text[0] == '0' &&
-      (Text[1] == 'x' || Text[1] == 'X'))
-    return false;
-  for (char C : Text)
-    if (C == '.' || C == 'e' || C == 'E' || C == 'f' || C == 'F')
-      return true;
-  return false;
-}
-
-void checkD5(const LexedFile &File, std::vector<Finding> &Out) {
-  if (!inTree(File.Path, "src"))
-    return;
-  const Toks &T = File.Toks;
-  for (size_t I = 0; I < T.size(); ++I) {
-    if (T[I].K != Token::Ident)
-      continue;
-    const std::string &Name = T[I].Text;
-    if (!isAccountingCounterName(Name))
-      continue;
-
-    // Floating declaration: `double Heat`, `float StallCycles`.
-    if (I > 0 && T[I - 1].K == Token::Ident &&
-        (T[I - 1].Text == "float" || T[I - 1].Text == "double"))
-      Out.push_back(
-          {"D5", File.Path, T[I].Line,
-           "cycle/heat counter '" + Name + "' declared as '" +
-               T[I - 1].Text +
-               "'; floating accumulation rounds and breaks bit-exact "
-               "replay",
-           "store cycle and heat counters as uint64_t and convert to "
-           "double only at the reporting boundary, or annotate "
-           "`// hds-lint: float-cycles-ok(<why>)`"});
-
-    // Floating accumulation: `Heat += 0.5`, `StallCycles *= Factor` with
-    // a floating-valued right-hand side.
-    bool Compound = isPunct(T, I + 1, "+=") || isPunct(T, I + 1, "-=") ||
-                    isPunct(T, I + 1, "*=") || isPunct(T, I + 1, "/=");
-    if (!Compound)
-      continue;
-    for (size_t J = I + 2; J < T.size(); ++J) {
-      if (T[J].K == Token::Punct && (T[J].Text == ";" || T[J].Text == "{"))
-        break;
-      bool FloatValued =
-          (T[J].K == Token::Number && isFloatLiteral(T[J].Text)) ||
-          (T[J].K == Token::Ident &&
-           (T[J].Text == "float" || T[J].Text == "double"));
-      if (FloatValued) {
-        Out.push_back(
-            {"D5", File.Path, T[I].Line,
-             "floating-point accumulation into cycle/heat counter '" +
-                 Name + "'; results drift with evaluation order",
-             "accumulate in integers (scale fixed-point if a ratio is "
-             "needed), or annotate `// hds-lint: float-cycles-ok(<why>)`"});
-        break;
-      }
-    }
-  }
-}
-
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -753,36 +450,15 @@ const std::vector<RuleInfo> &ruleCatalog() {
        "no iteration over unordered containers without an ordered-ok note"},
       {"D3", "pointer-key-ok",
        "no ordering or sorting keyed on raw pointer values"},
-      {"D4", "alloc-ok",
-       "no raw new/delete/malloc outside designated allocator files"},
-      {"H1", "header-ok",
-       "canonical include guards (self-containment is a compile check)"},
-      {"C1", "cycles-ok",
-       "cycle charging must route through obs::CycleAccount::charge (the "
-       "rule discovers the class's fields from its definition)"},
-      {"D5", "float-cycles-ok",
-       "cycle and heat accounting must use integer arithmetic, not "
-       "float/double"},
       {"SUP", nullptr, "hds-lint suppression comments must be well-formed"},
       {"STALE", nullptr,
-       "suppression notes whose rule no longer fires there "
-       "(--stale-suppressions)"},
+       "suppression notes whose rule no longer fires there"},
   };
   return Rules;
 }
 
-std::vector<Finding> runLint(const std::vector<LexedFile> &Files,
-                             const LintOptions &Opts) {
+std::vector<Finding> runLint(const std::vector<LexedFile> &Files) {
   ProjectIndex Index = buildIndex(Files);
-  const CycleAccountInfo Account = findCycleAccount(Files);
-
-  auto RuleEnabled = [&](const char *Id) {
-    if (Opts.OnlyRules.empty())
-      return true;
-    return std::find(Opts.OnlyRules.begin(), Opts.OnlyRules.end(), Id) !=
-           Opts.OnlyRules.end();
-  };
-
   std::vector<Finding> Result;
 
   for (const LexedFile &File : Files) {
@@ -790,20 +466,9 @@ std::vector<Finding> runLint(const std::vector<LexedFile> &Files,
     Suppressions Sup = collectSuppressions(File, SupFindings);
 
     std::vector<Finding> Raw;
-    if (RuleEnabled("D1"))
-      checkD1(File, Raw);
-    if (RuleEnabled("D2"))
-      checkD2(File, Index, Raw);
-    if (RuleEnabled("D3"))
-      checkD3(File, Raw);
-    if (RuleEnabled("D4"))
-      checkD4(File, Raw);
-    if (RuleEnabled("H1"))
-      checkH1(File, Raw);
-    if (RuleEnabled("C1"))
-      checkC1(File, Account, Raw);
-    if (RuleEnabled("D5"))
-      checkD5(File, Raw);
+    checkD1(File, Raw);
+    checkD2(File, Index, Raw);
+    checkD3(File, Raw);
 
     for (Finding &F : Raw) {
       const char *Tag = nullptr;
@@ -814,18 +479,16 @@ std::vector<Finding> runLint(const std::vector<LexedFile> &Files,
         continue;
       Result.push_back(std::move(F));
     }
-    if (RuleEnabled("SUP"))
-      for (Finding &F : SupFindings)
-        Result.push_back(std::move(F));
-    if (Opts.ReportStale && RuleEnabled("STALE"))
-      for (const SuppressionNote &N : Sup.Notes)
-        if (!N.Used)
-          Result.push_back(
-              {"STALE", File.Path, N.CommentLine,
-               "suppression '" + N.Tag + "' no longer suppresses anything " +
-                   (N.FileWide ? "in this file" : "on the line it covers"),
-               "remove the stale `hds-lint` note (or re-point it at the "
-               "line that still needs it)"});
+    for (Finding &F : SupFindings)
+      Result.push_back(std::move(F));
+    for (const SuppressionNote &N : Sup.Notes)
+      if (!N.Used)
+        Result.push_back(
+            {"STALE", File.Path, N.CommentLine,
+             "suppression '" + N.Tag +
+                 "' no longer suppresses anything on the line it covers",
+             "remove the stale `hds-lint` note (or re-point it at the "
+             "line that still needs it)"});
   }
 
   std::sort(Result.begin(), Result.end(),

@@ -49,10 +49,6 @@ inline bool isFile(std::string_view Path, std::string_view Tail) {
   return Path == Tail || endsWith(Path, std::string("/").append(Tail));
 }
 
-inline bool isHeaderPath(std::string_view Path) {
-  return endsWith(Path, ".h") || endsWith(Path, ".hpp");
-}
-
 inline bool isIdent(const std::vector<Token> &T, size_t I,
                     std::string_view Text) {
   return I < T.size() && T[I].K == Token::Ident && T[I].Text == Text;

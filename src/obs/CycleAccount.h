@@ -11,11 +11,11 @@
 /// profiling vs. analysis) fall out of the accounting instead of being
 /// reconstructed from scattered counters.
 ///
-/// This file is the designated accounting primitive for hds_lint rule C1:
-/// the *only* place in the tree where cycle state is mutated is
+/// The *only* place in the tree where cycle state is mutated is
 /// CycleAccount::charge below.  Everything else calls charge() with a
-/// phase; the lint rule discovers this class's fields from the type
-/// definition and flags any mutation of them outside this file.
+/// phase: the fields are private, so a mutation of them outside the class
+/// does not compile (the tier-1 ctest compile_gate_lint_successors builds
+/// one to keep it that way).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -132,7 +132,7 @@ void visitCycleBreakdownMetrics(CycleBreakdownT &&Breakdown, Fn &&Visit) {
 
 /// The account itself.  charge() is the only mutation entry point; the
 /// clock total and the per-phase attribution advance together and can
-/// never drift apart.  All arithmetic is unsigned integer (lint rule D5).
+/// never drift apart.  All arithmetic is unsigned integer (-Wconversion).
 class CycleAccount {
 public:
   /// Advances the clock by \p Cycles, attributed to \p Phase.

@@ -186,6 +186,13 @@ struct EquivalenceCase {
   uint32_t SequenceLength;
 };
 
+// Names the case by its seed: the discovered ctest names carry this
+// text, where gtest's default would dump the struct's bytes, padding
+// included, which change from build to build.
+void PrintTo(const EquivalenceCase &Case, std::ostream *OS) {
+  *OS << "seed" << Case.Seed;
+}
+
 class DfsmEquivalenceTest
     : public ::testing::TestWithParam<EquivalenceCase> {};
 

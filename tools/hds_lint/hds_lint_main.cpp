@@ -7,12 +7,12 @@
 /// \file
 /// Command-line driver for the project lint pass:
 ///
-///   hds_lint [options] <file-or-dir>...
+///   hds_lint [--list-rules] <file-or-dir>...
 ///
-///   --rule <id>              run only this rule (repeatable)
 ///   --list-rules             print the rule catalogue and exit
-///   --stale-suppressions     report suppression notes that no longer
-///                            suppress anything (STALE)
+///
+/// Every run executes every rule and reports suppression notes that no
+/// longer suppress anything (STALE).
 ///
 /// Directories are scanned recursively for C++ sources; `lint_fixtures`
 /// directories (seeded rule violations used by tests/lint_test.cpp) and
@@ -82,25 +82,13 @@ bool readFile(const fs::path &P, std::string &Out) {
 }
 
 void usage(std::FILE *To) {
-  std::fprintf(To,
-               "usage: hds_lint [--rule <id>]... [--list-rules] "
-               "[--stale-suppressions]\n"
-               "                <file-or-dir>...\n");
+  std::fprintf(To, "usage: hds_lint [--list-rules] <file-or-dir>...\n");
 }
 
 } // namespace
 
 int main(int Argc, char **Argv) {
-  LintOptions Opts;
   std::vector<fs::path> Roots;
-
-  auto NeedValue = [&](int &I, const char *Flag) -> const char * {
-    if (I + 1 >= Argc) {
-      std::fprintf(stderr, "hds_lint: %s requires an argument\n", Flag);
-      return nullptr;
-    }
-    return Argv[++I];
-  };
 
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
@@ -110,15 +98,15 @@ int main(int Argc, char **Argv) {
       return 0;
     }
     if (Arg == "--rule") {
-      const char *V = NeedValue(I, "--rule");
-      if (!V)
-        return 2;
-      Opts.OnlyRules.push_back(V);
-      continue;
+      std::fprintf(stderr, "hds_lint: --rule was removed: every run "
+                           "executes every rule\n");
+      return 2;
     }
     if (Arg == "--stale-suppressions") {
-      Opts.ReportStale = true;
-      continue;
+      std::fprintf(stderr,
+                   "hds_lint: --stale-suppressions was removed: stale "
+                   "suppression notes are now always reported\n");
+      return 2;
     }
     if (Arg == "--help" || Arg == "-h") {
       usage(stdout);
@@ -130,14 +118,6 @@ int main(int Argc, char **Argv) {
       return 2;
     }
     Roots.emplace_back(Arg);
-  }
-  if (Opts.ReportStale && !Opts.OnlyRules.empty()) {
-    // A restricted run cannot tell a stale note from one whose rule was
-    // simply not executed.
-    std::fprintf(stderr,
-                 "hds_lint: --stale-suppressions requires running all "
-                 "rules (drop --rule)\n");
-    return 2;
   }
   if (Roots.empty()) {
     usage(stderr);
@@ -166,7 +146,7 @@ int main(int Argc, char **Argv) {
     Files.push_back(lexSource(P.generic_string(), Source));
   }
 
-  std::vector<Finding> Findings = runLint(Files, Opts);
+  std::vector<Finding> Findings = runLint(Files);
   for (const Finding &F : Findings)
     std::printf("%s\n", formatFinding(F).c_str());
   if (!Findings.empty()) {
