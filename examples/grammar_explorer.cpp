@@ -10,6 +10,13 @@
 //
 // Usage: grammar_explorer [string] [heatThreshold] [minLen] [maxLen]
 //   defaults: the paper's worked example, H=8, minLen=2, maxLen=7.
+//   The numbers are plain decimal digits and minLen may not exceed
+//   maxLen; anything else exits 2 with an "error:" line.
+//
+// With no arguments this is the program of record for Figures 4/6 and
+// Table 1: the grammar of w = abaabcabcabcabc, the analysis values
+// (index, uses, coldUses, heat), and the one hot data stream the paper
+// finds, abcabc with heat 12, 80% of all data references.
 //
 // Try:
 //   grammar_explorer
@@ -22,6 +29,7 @@
 #include "dfsm/CheckCodeGen.h"
 #include "dfsm/PrefixDfsm.h"
 #include "sequitur/Grammar.h"
+#include "support/ParseInt.h"
 #include "support/Table.h"
 
 #include <cstdio>
@@ -30,12 +38,37 @@
 
 using namespace hds;
 
+namespace {
+
+/// Argument \p Index of argv as a decimal number named \p Name, or
+/// \p Default when it is absent.
+uint64_t numberArg(int Argc, char **Argv, int Index, const char *Name,
+                   uint64_t Default) {
+  if (Argc <= Index)
+    return Default;
+  uint64_t Value = 0;
+  if (!parseDecimal(Argv[Index], Value)) {
+    std::fprintf(stderr, "error: invalid %s '%s' (need a decimal integer)\n",
+                 Name, Argv[Index]);
+    std::exit(2);
+  }
+  return Value;
+}
+
+} // namespace
+
 int main(int Argc, char **Argv) {
   const std::string Input = Argc > 1 ? Argv[1] : "abaabcabcabcabc";
   analysis::AnalysisConfig Config;
-  Config.HeatThreshold = Argc > 2 ? std::strtoull(Argv[2], nullptr, 10) : 8;
-  Config.MinLength = Argc > 3 ? std::strtoull(Argv[3], nullptr, 10) : 2;
-  Config.MaxLength = Argc > 4 ? std::strtoull(Argv[4], nullptr, 10) : 7;
+  Config.HeatThreshold = numberArg(Argc, Argv, 2, "heatThreshold", 8);
+  Config.MinLength = numberArg(Argc, Argv, 3, "minLen", 2);
+  Config.MaxLength = numberArg(Argc, Argv, 4, "maxLen", 7);
+  if (Config.MinLength > Config.MaxLength) {
+    std::fprintf(stderr, "error: minLen %llu is greater than maxLen %llu\n",
+                 (unsigned long long)Config.MinLength,
+                 (unsigned long long)Config.MaxLength);
+    return 2;
+  }
 
   std::printf("input: %s  (H=%llu, minLen=%llu, maxLen=%llu)\n\n",
               Input.c_str(), (unsigned long long)Config.HeatThreshold,

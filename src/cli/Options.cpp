@@ -81,10 +81,6 @@ OptionSet &OptionSet::u64(const char *Name, uint64_t &Target) {
   return addInteger(*this, Name, Target);
 }
 
-OptionSet &OptionSet::u32(const char *Name, uint32_t &Target) {
-  return addInteger(*this, Name, Target);
-}
-
 OptionSet &OptionSet::uns(const char *Name, unsigned &Target,
                           unsigned Max) {
   return addInteger(*this, Name, Target, 0, Max);

@@ -62,7 +62,6 @@ public:
   /// the target type; anything else exits 2 with an "invalid" message.
   /// @{
   OptionSet &u64(const char *Name, uint64_t &Target);
-  OptionSet &u32(const char *Name, uint32_t &Target);
   /// \p Max caps the accepted value below the type's own limit
   /// (hds_matrix --jobs).
   OptionSet &uns(const char *Name, unsigned &Target,
@@ -70,7 +69,7 @@ public:
   /// @}
 
   /// As uns(), then "error: --name must be >= 1" and exit 2 on zero
-  /// (hds_matrix --repeat).
+  /// (hds_matrix --repeat, hds_run and hds_fuzz --headlen).
   OptionSet &unsAtLeastOne(const char *Name, unsigned &Target);
 
   /// Strict parse; "error: invalid --name '...' (need a finite number

@@ -55,8 +55,7 @@ TEST(OptionSet, EveryRegistrationKindParses) {
   std::vector<std::string> List;
   std::string PairA, PairB, Operand;
   uint64_t U64 = 0;
-  uint32_t U32 = 0;
-  unsigned Uns = 0;
+  unsigned Uns = 0, AtLeastOne = 0;
   double Positive = 0.0, NonNegative = -1.0;
   core::RunMode Mode = core::RunMode::Original;
 
@@ -67,8 +66,8 @@ TEST(OptionSet, EveryRegistrationKindParses) {
       .strList("--list", List)
       .strPair("--pair", PairA, PairB)
       .u64("--u64", U64)
-      .u32("--u32", U32)
       .uns("--uns", Uns)
+      .unsAtLeastOne("--at-least-one", AtLeastOne)
       .positiveDouble("--positive", Positive)
       .nonNegativeDouble("--nonneg", NonNegative)
       .runMode("--mode", Mode)
@@ -76,8 +75,8 @@ TEST(OptionSet, EveryRegistrationKindParses) {
 
   parseArgs(Set, {"--flag", "--str", "hello", "--list", "a", "--list", "b",
                   "--pair", "left", "right", "--u64", "18446744073709551615",
-                  "--u32", "4096", "--uns", "7", "--positive", "2.25",
-                  "--nonneg", "0", "trace.txt", "--mode", "dynpref"});
+                  "--at-least-one", "4096", "--uns", "7", "--positive",
+                  "2.25", "--nonneg", "0", "trace.txt", "--mode", "dynpref"});
 
   EXPECT_FALSE(UsageCalled);
   EXPECT_TRUE(Flag);
@@ -86,8 +85,8 @@ TEST(OptionSet, EveryRegistrationKindParses) {
   EXPECT_EQ(PairA, "left");
   EXPECT_EQ(PairB, "right");
   EXPECT_EQ(U64, 18446744073709551615ull);
-  EXPECT_EQ(U32, 4096u);
   EXPECT_EQ(Uns, 7u);
+  EXPECT_EQ(AtLeastOne, 4096u);
   EXPECT_DOUBLE_EQ(Positive, 2.25);
   EXPECT_DOUBLE_EQ(NonNegative, 0.0);
   EXPECT_EQ(Mode, core::RunMode::DynamicPrefetch);
@@ -143,13 +142,12 @@ TEST(OptionSetDeathTest, StrictNumericOptionsExitWithLegacyMessages) {
 
 TEST(OptionSetDeathTest, IntegerOptionsRejectSignsGarbageAndOverflow) {
   uint64_t Seeds = 0;
-  uint32_t HeadLength = 0;
-  unsigned Jobs = 0, Repeat = 0;
+  unsigned HeadLength = 0, Jobs = 0, Repeat = 0;
   OptionSet Set([] {});
   // --jobs carries hds_matrix's cap, so an oversized value is refused
   // while parsing, before any thread is started.
   Set.u64("--seeds", Seeds)
-      .u32("--headlen", HeadLength)
+      .unsAtLeastOne("--headlen", HeadLength)
       .uns("--jobs", Jobs, 256)
       .unsAtLeastOne("--repeat", Repeat);
 
@@ -167,6 +165,10 @@ TEST(OptionSetDeathTest, IntegerOptionsRejectSignsGarbageAndOverflow) {
                 "error: invalid " + Args[0] + " '" + regexQuote(Args[1]) +
                     "' \\(need an integer in \\[[01], [0-9]+\\]\\)")
         << Args[0] << " " << Args[1];
+  // hds_run --headlen 0 once scanned every clause and matched nothing,
+  // and hds_fuzz failed every seed's DFSM oracle.
+  EXPECT_EXIT(parseArgs(Set, {"--headlen", "0"}), testing::ExitedWithCode(2),
+              "error: --headlen must be >= 1");
 
   parseArgs(Set, {"--seeds", "007", "--headlen", "4294967295", "--jobs", "0",
                   "--repeat", "3"});

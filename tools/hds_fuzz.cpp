@@ -16,15 +16,15 @@
 //   hds_fuzz [options]
 //     --start <n>     first seed (default 1)
 //     --seeds <n>     number of consecutive seeds to run (default 50)
-//     --headlen <n>   DFSM prefix match length (default 2)
+//     --headlen <n>   DFSM prefix match length, at least 1 (default 2)
 //     --minlen <n>    analysis minLen (default 2)
 //     --maxlen <n>    analysis maxLen (default 100)
 //     --heat <n>      analysis heat threshold H (default 8)
 //     --verbose       per-seed progress to stderr
 //
 // Numbers are strict (cli::OptionSet): a malformed, negative or
-// overflowing operand, --minlen above --maxlen, or a seed range past
-// 2^64 - 1 exits 2 with an "error:" line that names it.
+// overflowing operand, --headlen 0, --minlen above --maxlen, or a seed
+// range past 2^64 - 1 exits 2 with an "error:" line that names it.
 //
 // Exit status: 0 when every seed passes all oracles, 1 otherwise.  The
 // last line also reports on how many seeds the grammar hot-subpath
@@ -65,7 +65,7 @@ Options parseOptions(int Argc, char **Argv) {
   hds::cli::OptionSet Set([Binary] { usage(Binary); });
   Set.u64("--start", Opts.Start)
       .u64("--seeds", Opts.Seeds)
-      .u32("--headlen", Opts.HeadLength)
+      .unsAtLeastOne("--headlen", Opts.HeadLength)
       .u64("--minlen", Opts.Analysis.MinLength)
       .u64("--maxlen", Opts.Analysis.MaxLength)
       .u64("--heat", Opts.Analysis.HeatThreshold)

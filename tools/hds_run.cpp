@@ -13,7 +13,7 @@
 //     --mode <original|base|prof|hds|nopref|seqpref|dynpref>    (default dynpref)
 //     --iterations <n>      override the workload's default
 //     --scale <f>           scale the default iteration count
-//     --headlen <n>         prefix match length (default 2)
+//     --headlen <n>         prefix match length, at least 1 (default 2)
 //     --stride              enable the hardware stride prefetcher
 //     --markov              enable the Markov correlation prefetcher
 //     --pair                enable the bounded temporal pair-table prefetcher
@@ -28,6 +28,7 @@
 //     --dump-trace <file>   write every reference as "pc:addr" tokens
 //                           (feed the file to hds_analyze)
 //     --record <file>       capture the run as a binary replay trace
+//                           (not in the same run as --dump-trace)
 //     --replay <file>       re-execute a recorded trace and verify the
 //                           replay reproduces the recorded cycle/miss
 //                           counts exactly (exit 1 on divergence)
@@ -110,7 +111,7 @@ Options parseOptions(int Argc, char **Argv) {
       .runMode("--mode", Opts.Mode)
       .u64("--iterations", Opts.Iterations)
       .positiveDouble("--scale", Opts.Scale)
-      .u32("--headlen", Opts.HeadLength)
+      .unsAtLeastOne("--headlen", Opts.HeadLength)
       .flag("--pin", Opts.Pin)
       .flag("--verbose", Opts.Verbose)
       .flag("--report", Opts.Report)
@@ -121,6 +122,12 @@ Options parseOptions(int Argc, char **Argv) {
       .str("--replay", Opts.ReplayFrom);
   cli::addPrefetcherFlags(Set, Opts.Prefetchers);
   Set.parse(Argc, Argv);
+  if (!Opts.DumpTrace.empty() && !Opts.RecordTo.empty()) {
+    // The run is deterministic: two runs give the same reference stream.
+    std::fprintf(stderr, "error: --dump-trace and --record cannot be "
+                         "combined; run twice, once with each\n");
+    std::exit(2);
+  }
   return Opts;
 }
 
@@ -156,65 +163,6 @@ public:
 
 private:
   std::FILE *Out;
-};
-
-/// Fans the event stream out to two observers (--dump-trace + --record
-/// in the same run: the Runtime has exactly one observer slot).
-class TeeObserver : public RuntimeObserver {
-public:
-  TeeObserver(RuntimeObserver &First, RuntimeObserver &Second)
-      : A(First), B(Second) {}
-
-  void onDeclareProcedure(vulcan::ProcId Proc,
-                          const std::string &Name) override {
-    A.onDeclareProcedure(Proc, Name);
-    B.onDeclareProcedure(Proc, Name);
-  }
-  void onDeclareSite(vulcan::SiteId Site, vulcan::ProcId Proc,
-                     const std::string &Label) override {
-    A.onDeclareSite(Site, Proc, Label);
-    B.onDeclareSite(Site, Proc, Label);
-  }
-  void onAllocate(memsim::Addr Result, uint64_t Bytes,
-                  uint64_t Align) override {
-    A.onAllocate(Result, Bytes, Align);
-    B.onAllocate(Result, Bytes, Align);
-  }
-  void onPadHeap(uint64_t Bytes) override {
-    A.onPadHeap(Bytes);
-    B.onPadHeap(Bytes);
-  }
-  void onEnterProcedure(vulcan::ProcId Proc) override {
-    A.onEnterProcedure(Proc);
-    B.onEnterProcedure(Proc);
-  }
-  void onLeaveProcedure() override {
-    A.onLeaveProcedure();
-    B.onLeaveProcedure();
-  }
-  void onLoopBackEdge() override {
-    A.onLoopBackEdge();
-    B.onLoopBackEdge();
-  }
-  void onAccess(vulcan::SiteId Site, memsim::Addr Addr,
-                bool IsStore) override {
-    A.onAccess(Site, Addr, IsStore);
-    B.onAccess(Site, Addr, IsStore);
-  }
-  void onAccessBatch(const AccessEvent *Events, size_t Count) override {
-    // Forward whole blocks so a batching downstream (the recorder) keeps
-    // its amortization even behind the tee.
-    A.onAccessBatch(Events, Count);
-    B.onAccessBatch(Events, Count);
-  }
-  void onCompute(uint64_t Cycles) override {
-    A.onCompute(Cycles);
-    B.onCompute(Cycles);
-  }
-
-private:
-  RuntimeObserver &A;
-  RuntimeObserver &B;
 };
 
 /// Writes the phase timeline as Chrome trace-event JSON ("X" complete
@@ -393,8 +341,8 @@ uint64_t runConfigured(const Options &Opts, RunMode Mode, bool Report) {
 
   Runtime Rt(Config);
 
-  // All observation rides the one RuntimeObserver slot; when both a trace
-  // dump and a recording are requested the tee fans the stream out.
+  // All observation rides the one RuntimeObserver slot, so a run takes
+  // --dump-trace or --record, never both (parseOptions).
   std::FILE *TraceFile = nullptr;
   std::unique_ptr<TraceDumpObserver> Dumper;
   if (Report && !Opts.DumpTrace.empty()) {
@@ -412,15 +360,10 @@ uint64_t runConfigured(const Options &Opts, RunMode Mode, bool Report) {
     Recorder = std::make_unique<replay::TraceRecorder>(
         replay::metaFromConfig(Config, Opts.Workload, Iterations));
 
-  std::unique_ptr<TeeObserver> Tee;
-  if (Dumper && Recorder) {
-    Tee = std::make_unique<TeeObserver>(*Dumper, *Recorder);
-    Rt.setObserver(Tee.get());
-  } else if (Dumper) {
+  if (Dumper)
     Rt.setObserver(Dumper.get());
-  } else if (Recorder) {
+  else if (Recorder)
     Rt.setObserver(Recorder.get());
-  }
 
   Bench->setup(Rt);
   if (Recorder)
