@@ -101,7 +101,6 @@ hds::analysis::analyzeHotStreamsPrecisely(const std::vector<uint32_t> &Trace,
                 return A->Starts.front() < B->Starts.front();
               });
     for (const Candidate *C : Ordered) {
-      ++Result.CandidatesExamined;
       const uint64_t Frequency = countNonOverlapping(C->Starts, Length);
       const uint64_t Heat = Frequency * Length;
       if (Heat < Config.HeatThreshold || Frequency < 2)

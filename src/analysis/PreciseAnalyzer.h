@@ -38,8 +38,6 @@ namespace analysis {
 struct PreciseAnalysisResult {
   std::vector<HotDataStream> Streams;
   uint64_t TraceLength = 0;
-  /// Number of candidate substrings inspected (work metric for benches).
-  uint64_t CandidatesExamined = 0;
 };
 
 /// Runs the exact detector over \p Trace with thresholds from \p Config.

@@ -202,7 +202,6 @@ hds::analysis::analyzeHotSubpaths(const GrammarSnapshot &Snapshot,
         // Only boundary-crossing windows belong to this rule.
         if (Image[Start].Item == Image[End].Item)
           continue;
-        ++Result.WindowsExamined;
         Counts[Window] += F.Uses;
       }
     }

@@ -55,8 +55,6 @@ struct SubpathAnalysisResult {
   /// stream is contained in another reported stream).
   std::vector<HotDataStream> Streams;
   uint64_t TraceLength = 0;
-  /// Candidate windows enumerated (work metric for benches).
-  uint64_t WindowsExamined = 0;
 };
 
 /// Runs the Larus-style subpath detection over \p Snapshot with the

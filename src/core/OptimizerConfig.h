@@ -207,8 +207,8 @@ struct OptimizerConfig {
   double AdaptiveStabilityThreshold = 0.7;
 
   /// Print a per-cycle summary of detected streams and selection
-  /// decisions to stderr (used by examples/stream_inspector and when
-  /// debugging workload/analysis interactions).
+  /// decisions to stderr (used by `hds_run --verbose` and when debugging
+  /// workload/analysis interactions).
   bool VerboseAnalysis = false;
 };
 

@@ -80,9 +80,6 @@ public:
   /// Current DFSM state (tests).
   dfsm::StateId currentState() const { return State; }
 
-  /// Number of installed streams.
-  size_t streamCount() const { return Streams.size(); }
-
   /// The installed check tables (tests and cross-validation).
   const dfsm::CheckCode &installedCode() const { return Code; }
 

@@ -62,12 +62,13 @@ struct RunStats {
 };
 
 /// \name Stable metric enumerations
-/// Typed field enumeration with a fixed, append-only order shared by
-/// the results JSON writer and reader (the metric ids are the JSON
-/// keys).  \p Visit is invoked once per scalar counter with its
-/// obs::MetricDef and a reference to the field; pass a const struct to
-/// read and a mutable one to fill during decode.  New fields must be
-/// appended at the end, never reordered or removed (see obs/Metrics.h).
+/// Typed field enumeration with a fixed, append-only order: the results
+/// JSON writer walks it (the metric ids are the JSON keys).  \p Visit is
+/// invoked once per scalar counter with its obs::MetricDef and a
+/// reference to the field; pass a const struct to read, or a mutable one
+/// to fill (tests do, to give every field a distinct value).  New fields
+/// must be appended at the end, never reordered or removed (see
+/// obs/Metrics.h).
 /// @{
 template <typename CycleStatsT, typename Fn>
 void visitCycleStatsMetrics(CycleStatsT &&Stats, Fn &&Visit) {

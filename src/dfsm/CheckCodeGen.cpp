@@ -96,13 +96,17 @@ std::string CheckCode::dump() const {
     for (const AddrGroupCode &Group : Site.Groups) {
       Out += formatString("  if (accessing %llu) {\n",
                           (unsigned long long)Group.Addr);
+      // One if / else if / else chain; a group without specific clauses
+      // is just the default assignment.
+      const char *Else = "";
       for (const CheckClause &Clause : Group.Specific) {
-        Out += formatString("    if (state == %u) state = %u;",
+        Out += formatString("    %sif (state == %u) state = %u;", Else,
                             Clause.FromState, Clause.ToState);
         AppendCompletions(Clause.CompletedStreams);
         Out += '\n';
+        Else = "else ";
       }
-      Out += formatString("    else state = %u;", Group.DefaultToState);
+      Out += formatString("    %sstate = %u;", Else, Group.DefaultToState);
       AppendCompletions(Group.DefaultCompletions);
       Out += "\n  } else state = 0;\n";
     }

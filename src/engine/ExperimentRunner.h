@@ -88,8 +88,7 @@ struct RunResult {
   /// installed during the run.
   std::vector<obs::StreamPrefetchStats> Streams;
   /// Per-hardware-prefetcher effectiveness (src/prefetch), one row per
-  /// stack member — selector candidates included.  Empty when the spec
-  /// enables no prefetcher.
+  /// stack member.  Empty when the spec enables no prefetcher.
   std::vector<obs::PrefetcherStats> Prefetchers;
   /// Caller-measured wall clock (never set by runExperiment itself).
   ResultTiming Timing;

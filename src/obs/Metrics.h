@@ -11,9 +11,11 @@
 /// `visit*Metrics` enumerations (core/RunStats.h, memsim/Cache.h,
 /// memsim/MemoryHierarchy.h, obs/CycleAccount.h, obs/PrefetchStats.h)
 /// pair each definition with a reference to the live field, in a fixed
-/// append-only order.  That single enumeration drives JSON emission and
-/// the metric registry (engine/MetricRegistry.h), so the two can never
-/// disagree on field names or order.
+/// append-only order.  Those enumerations are the results schema: the
+/// JSON writer (engine/ResultsJson.cpp, emitResult) walks them to emit
+/// every metric, and `--diff` compares whatever scalars the parsed
+/// documents hold, pairing cells by engine/MetricRegistry.h's identity
+/// fields.
 ///
 /// Append-only contract: new metrics are appended at the end of their
 /// block's visit function, never reordered, and removed only together
@@ -21,7 +23,8 @@
 /// change still diff against new ones (a removed metric shows as
 /// missing; docs/engine.md).
 /// MetricRegistryTest.HasEveryBlockInDocumentOrder (tests/obs_test.cpp)
-/// spells out every block's ids, so a reorder or removal fails tier 1.
+/// spells out every block's ids and reads them back from the writer's
+/// output, so a reorder or removal fails tier 1.
 ///
 //===----------------------------------------------------------------------===//
 

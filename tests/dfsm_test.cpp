@@ -356,6 +356,33 @@ TEST(CheckCodeGenTest, DumpMentionsPrefetches) {
   EXPECT_NE(Text.find("else state = 0;"), std::string::npos);
 }
 
+TEST(CheckCodeGenTest, DumpChainsClausesWithElseIf) {
+  // A group without specific clauses is a bare default assignment; one
+  // with two is an if / else if / else chain (Figure 7's shape).
+  CheckCode Code;
+  SiteCheckCode Site;
+  Site.Pc = 7;
+  AddrGroupCode Bare;
+  Bare.Addr = 97;
+  Bare.DefaultToState = 1;
+  AddrGroupCode Chain;
+  Chain.Addr = 98;
+  Chain.Specific = {{1, 2, {}}, {3, 4, {0}}};
+  Chain.DefaultToState = 5;
+  Site.Groups = {Bare, Chain};
+  Code.Sites.push_back(Site);
+  EXPECT_EQ(Code.dump(), "pc 7:\n"
+                         "  if (accessing 97) {\n"
+                         "    state = 1;\n"
+                         "  } else state = 0;\n"
+                         "  if (accessing 98) {\n"
+                         "    if (state == 1) state = 2;\n"
+                         "    else if (state == 3) state = 4; prefetch "
+                         "tails of streams {0};\n"
+                         "    else state = 5;\n"
+                         "  } else state = 0;\n");
+}
+
 TEST(CheckCodeGenTest, NaiveStatsCountStreamsTimesHead) {
   Streams S;
   for (uint32_t I = 0; I < 7; ++I) {
